@@ -7,9 +7,11 @@ Run from the root of a checkout. The first call configures and builds
 perfbench/ (CMake, Release) into .bench_build/perfbench; later calls only
 rebuild what changed. Build output goes to stderr. The last line of stdout
 is the run's JSON result: {"correct", "attempted", "failed", "metrics"},
-the end-to-end metrics with --trace 0 and the per-layer ones with --trace 1.
-The exit code is 0 only when the run finished and printed every metric that
-BENCHMARK.json declares for its mode.
+the end-to-end metrics with --trace 0 and the per-layer ones with --trace 1,
+each with the unit BENCHMARK.json declares for it. The exit code is 0 only
+when the run finished, printed every metric that BENCHMARK.json declares for
+its mode, and every output was correct; otherwise the result, if any, goes
+to stderr.
 """
 import argparse
 import json
@@ -81,12 +83,16 @@ def main():
     if set(result) != {"correct", "attempted", "failed", "metrics"}:
         fail("malformed result: " + lines[-1])
     declared = declared_metrics(args.trace)
-    printed = {name: m["unit"] for name, m in result["metrics"].items()}
-    if printed != declared:
+    printed = result["metrics"]
+    if set(printed) != set(declared):
         fail("printed metrics differ from BENCHMARK.json: %s"
-             % sorted(set(printed.items()) ^ set(declared.items())))
+             % sorted(set(printed) ^ set(declared)))
+    result["metrics"] = {name: {"value": printed[name], "unit": unit}
+                         for name, unit in declared.items()}
     if result["attempted"] < 1:
         fail("no operation attempted")
+    if not result["correct"] or result["failed"]:
+        fail("wrong or failed outputs: " + json.dumps(result))
     print(json.dumps(result))
 
 

@@ -12,73 +12,58 @@
 
 namespace perfbench {
 
-const std::vector<MetricSpec>& EndToEndMetrics() {
-  static const std::vector<MetricSpec> specs = {
-      {"setup_s", "s"},     {"tok_per_s", "tokens/s"}, {"p50_ms", "ms"},
-      {"p90_ms", "ms"},     {"peak_rss_mb", "MB"},
-  };
-  return specs;
+const std::vector<const char*>& EndToEndMetrics() {
+  static const std::vector<const char*> names = {
+      "setup_s", "tok_per_s", "p50_ms", "p90_ms", "peak_rss_mb"};
+  return names;
 }
 
-const std::vector<MetricSpec>& PerLayerMetrics() {
-  static const std::vector<MetricSpec> specs = {
+const std::vector<const char*>& PerLayerMetrics() {
+  static const std::vector<const char*> names = {
       // core / pass
-      {"compile.ms", "ms"},
-      {"compile.instructions", "count"},
+      "compile.ms",
+      "compile.instructions",
       // vm
-      {"vm.instr_per_req", "count"},
-      {"vm.interp_us_per_req", "us"},
-      {"vm.kernel_us_per_req", "us"},
-      {"vm.shape_func_us_per_req", "us"},
+      "vm.instr_per_req",
+      "vm.interp_us_per_req",
+      "vm.kernel_us_per_req",
+      "vm.shape_func_us_per_req",
       // codegen / kernels
-      {"dense.specialized_per_req", "count"},
-      {"dense.fallback_per_req", "count"},
-      {"dense.blocked_per_req", "count"},
-      {"dense.parallel_per_req", "count"},
+      "dense.specialized_per_req",
+      "dense.fallback_per_req",
+      "dense.blocked_per_req",
+      "dense.parallel_per_req",
       // runtime
-      {"alloc.calls_per_req", "count"},
-      {"alloc.pool_miss_per_req", "count"},
-      {"alloc.peak_mb", "MB"},
+      "alloc.calls_per_req",
+      "alloc.pool_miss_per_req",
+      "alloc.peak_mb",
       // serve + net request spans
-      {"span.admission_us", "us"},
-      {"span.queue_us", "us"},
-      {"span.pack_us", "us"},
-      {"span.exec_us", "us"},
-      {"span.unpack_us", "us"},
-      {"span.write_us", "us"},
+      "span.admission_us",
+      "span.queue_us",
+      "span.pack_us",
+      "span.exec_us",
+      "span.unpack_us",
+      "span.write_us",
       // bucketed batch
-      {"batch.mean_size", "count"},
-      {"batch.padding_pct", "%"},
-      {"exec_cache.hit_pct", "%"},
-      {"copy.pack_bytes_per_req", "B"},
-      {"copy.unpack_bytes_per_req", "B"},
+      "batch.mean_size",
+      "batch.padding_pct",
+      "exec_cache.hit_pct",
+      "copy.pack_bytes_per_req",
+      "copy.unpack_bytes_per_req",
       // continuous batch
-      {"step.mean_us", "us"},
-      {"step.active_rows_mean", "count"},
-      {"step.splice_wait_us", "us"},
-      {"copy.step_state_bytes_per_req", "B"},
+      "step.mean_us",
+      "step.active_rows_mean",
+      "step.splice_wait_us",
+      "copy.step_state_bytes_per_req",
       // net
-      {"net.overhead_us", "us"},
-      {"copy.http_decode_bytes_per_req", "B"},
-      {"copy.serialize_bytes_per_req", "B"},
+      "net.overhead_us",
+      "copy.http_decode_bytes_per_req",
+      "copy.serialize_bytes_per_req",
       // obs
-      {"obs.telemetry_overhead_pct", "%"},
+      "obs.telemetry_overhead_pct",
   };
-  return specs;
+  return names;
 }
-
-namespace {
-
-const char* UnitOf(const std::string& name) {
-  for (const auto* specs : {&EndToEndMetrics(), &PerLayerMetrics()}) {
-    for (const MetricSpec& spec : *specs) {
-      if (name == spec.name) return spec.unit;
-    }
-  }
-  return "";
-}
-
-}  // namespace
 
 void RunResult::Set(const std::string& name, double value) {
   for (auto& [key, slot] : metrics) {
@@ -93,8 +78,8 @@ void RunResult::Set(const std::string& name, double value) {
 
 RunResult EmptyResult(bool trace) {
   RunResult result;
-  for (const MetricSpec& spec : trace ? PerLayerMetrics() : EndToEndMetrics()) {
-    result.metrics.emplace_back(spec.name, 0.0);
+  for (const char* name : trace ? PerLayerMetrics() : EndToEndMetrics()) {
+    result.metrics.emplace_back(name, 0.0);
   }
   return result;
 }
@@ -108,8 +93,7 @@ void PrintResult(const RunResult& result) {
   const char* separator = "";
   for (const auto& [name, measured] : result.metrics) {
     double value = std::isfinite(measured) ? measured : 0.0;
-    std::printf("%s\"%s\": {\"value\": %.17g, \"unit\": \"%s\"}",
-                separator, name.c_str(), value, UnitOf(name));
+    std::printf("%s\"%s\": %.17g", separator, name.c_str(), value);
     separator = ", ";
   }
   std::printf("}}\n");
@@ -170,11 +154,6 @@ int64_t Phase::tokens() const {
   return total;
 }
 
-double Phase::tok_per_s() const {
-  double seconds = Seconds(end() - start);
-  return seconds > 0.0 ? static_cast<double>(tokens()) / seconds : 0.0;
-}
-
 WindowedRates Windowed(const Phase& phase) {
   auto window = std::chrono::duration_cast<Clock::duration>(
       std::chrono::duration<double>(kWindowSeconds));
@@ -194,7 +173,6 @@ WindowedRates Windowed(const Phase& phase) {
     p90.push_back(Percentile(latencies[k], 90.0));
   }
   WindowedRates out;
-  out.windows = static_cast<int>(count);
   out.tok_per_s = Median(rates);
   out.p50_ms = Median(p50);
   out.p90_ms = Median(p90);
@@ -207,12 +185,11 @@ WindowedRates Windowed(const Phase& phase) {
   return out;
 }
 
-void SetEndToEnd(const Phase& phase, double setup_s, RunResult* result) {
+void SetEndToEnd(const Phase& phase, RunResult* result) {
   WindowedRates rates = Windowed(phase);
   result->attempted = phase.attempted;
   result->failed = phase.failed;
   if (phase.failed > 0) result->correct = false;
-  result->Set("setup_s", setup_s);
   result->Set("tok_per_s", rates.tok_per_s);
   result->Set("p50_ms", rates.p50_ms);
   result->Set("p90_ms", rates.p90_ms);
@@ -251,8 +228,10 @@ void Shuffle(std::vector<int64_t>& values, nimble::support::Rng& rng) {
 std::vector<int64_t> StratifiedMRPCLengths(int count,
                                            nimble::support::Rng& rng) {
   constexpr int kOversample = 64;
+  constexpr uint64_t kLengthSeed = 17;
+  nimble::support::Rng length_rng(kLengthSeed);
   std::vector<int64_t> draws =
-      nimble::models::SampleMRPCLengths(count * kOversample, rng);
+      nimble::models::SampleMRPCLengths(count * kOversample, length_rng);
   std::sort(draws.begin(), draws.end());
   std::vector<int64_t> lengths;
   for (int i = 0; i < count; ++i) {

@@ -5,9 +5,10 @@
 //   1. prepare (untimed): build the model, draw the inputs from --seed,
 //      compute the expected outputs with a sequential VM and check them
 //      against the plain-C++ reference implementation;
-//   2. set up kSetupRepeats times (timed; the median is setup_s), keeping
-//      the last set-up for the timed phase;
-//   3. run whole rounds of the request pool for --seconds (timed);
+//   2. set up repeatedly (timed), keeping the last set-up for the timed
+//      phase;
+//   3. run whole rounds of the request pool for --seconds (timed), then
+//      set up repeatedly again; setup_s is the median of both halves;
 //   4. with --trace 1, read the program's telemetry and the benchmark's
 //      own timers into the per-layer metrics instead.
 #pragma once
@@ -44,20 +45,15 @@ struct RunResult {
   int64_t failed = 0;
   std::vector<std::pair<std::string, double>> metrics;
 
-  /// Sets a metric declared in EndToEndMetrics()/PerLayerMetrics();
-  /// aborts on an undeclared name so the output always matches
-  /// BENCHMARK.json.
+  /// Sets a metric named in EndToEndMetrics()/PerLayerMetrics(); aborts
+  /// on any other name.
   void Set(const std::string& name, double value);
 };
 
-struct MetricSpec {
-  const char* name;
-  const char* unit;
-};
-
-/// The metric tables, in output order. They mirror BENCHMARK.json.
-const std::vector<MetricSpec>& EndToEndMetrics();
-const std::vector<MetricSpec>& PerLayerMetrics();
+/// The metric names, in output order. run.py checks them against
+/// BENCHMARK.json and attaches the units declared there.
+const std::vector<const char*>& EndToEndMetrics();
+const std::vector<const char*>& PerLayerMetrics();
 
 /// A RunResult holding every metric of the mode, each at 0 until set.
 /// Per-layer metrics of a layer the workload does not use stay 0.
@@ -87,26 +83,45 @@ double PeakRssMb();
 /// other tenants' load.
 constexpr int kKernelThreads = 1;
 
-/// Number of set-ups timed per run; setup_s is their median.
-constexpr int kSetupRepeats = 7;
+/// Set-ups are timed in two halves, one before the timed phase and one
+/// after it. Each half repeats them back to back for at least
+/// kSetupSeconds / 2, and at least kMinSetups times. The host's speed flips
+/// between states that last seconds, and set-ups taken in one burst sit in
+/// one state; taking them at both ends of the run samples two (README.md).
+inline constexpr double kSetupSeconds = 2.0;
+inline constexpr int kMinSetups = 5;
 
-/// Times `setup` kSetupRepeats times (the previous instance is destroyed
-/// before the next is timed, outside the timing) and returns the last
-/// instance; `*setup_s` receives the median duration in seconds.
+/// Times the set-ups of one run; setup_s is median_s().
 template <typename T>
-std::unique_ptr<T> RepeatSetup(const std::function<std::unique_ptr<T>()>& setup,
-                               double* setup_s) {
-  std::unique_ptr<T> current;
-  std::vector<double> durations;
-  for (int i = 0; i < kSetupRepeats; ++i) {
-    current.reset();
-    auto t0 = Clock::now();
-    current = setup();
-    durations.push_back(Seconds(Clock::now() - t0));
+class SetupTimer {
+ public:
+  explicit SetupTimer(std::function<std::unique_ptr<T>()> setup)
+      : setup_(std::move(setup)) {}
+
+  /// Times one half of the set-ups (the previous instance is destroyed
+  /// before the next is timed, outside the timing) and returns the last
+  /// instance.
+  std::unique_ptr<T> Repeat() {
+    std::unique_ptr<T> current;
+    auto start = Clock::now();
+    for (int n = 0;
+         n < kMinSetups || Seconds(Clock::now() - start) < kSetupSeconds / 2;
+         ++n) {
+      current.reset();
+      auto t0 = Clock::now();
+      current = setup_();
+      durations_.push_back(Seconds(Clock::now() - t0));
+    }
+    return current;
   }
-  *setup_s = Median(durations);
-  return current;
-}
+
+  /// Median duration in seconds of every set-up timed so far.
+  double median_s() const { return Median(durations_); }
+
+ private:
+  std::function<std::unique_ptr<T>()> setup_;
+  std::vector<double> durations_;
+};
 
 /// Hands out positions in a request pool of `pool_size`, round after
 /// round, until `deadline` has passed; then it finishes the round in
@@ -147,8 +162,6 @@ struct Phase {
   void Record(Clock::time_point done, double latency_ms, int64_t tokens);
   Clock::time_point end() const;
   int64_t tokens() const;
-  /// Tokens over the whole phase's clock.
-  double tok_per_s() const;
 };
 
 /// The end-to-end rates of a phase as medians over its whole kWindowSeconds
@@ -157,16 +170,15 @@ struct Phase {
 /// second to second than one figure over the whole run.
 inline constexpr double kWindowSeconds = 2.0;
 struct WindowedRates {
-  int windows = 0;
   double tok_per_s = 0.0;  // median of the windows' tokens per second
   double p50_ms = 0.0;     // median of the windows' median latencies
   double p90_ms = 0.0;     // median of the windows' 90th percentiles
 };
 WindowedRates Windowed(const Phase& phase);
 
-/// Sets setup_s, tok_per_s, p50_ms, p90_ms and peak_rss_mb, and the
-/// operation tallies, from the timed phase.
-void SetEndToEnd(const Phase& phase, double setup_s, RunResult* result);
+/// Sets tok_per_s, p50_ms, p90_ms and peak_rss_mb, and the operation
+/// tallies, from the timed phase. The caller sets setup_s.
+void SetEndToEnd(const Phase& phase, RunResult* result);
 
 /// Adds a phase's operation tallies to a traced run's result.
 void AddTallies(const Phase& phase, RunResult* result);
@@ -179,11 +191,16 @@ double OverheadPct(const std::vector<Phase>& on, const std::vector<Phase>& off);
 // ---- inputs and checks ----------------------------------------------------
 
 /// `count` MRPC-like lengths (4-128) as a stratified sample: the
-/// count-quantiles of a large seeded draw of models::SampleMRPCLengths, in
-/// seeded random order. The length distribution barely moves between
-/// seeds; the order and the token contents do.
+/// count-quantiles of a large draw of models::SampleMRPCLengths made with a
+/// fixed seed, in an order shuffled with `rng`. Every seed gets the same
+/// lengths, and so the same work per round; the order and the token
+/// contents follow the seed.
 std::vector<int64_t> StratifiedMRPCLengths(int count,
                                            nimble::support::Rng& rng);
+
+/// Length of the one warm-up request of vm_bert_mrpc and http_lstm_online.
+/// It is fixed, so set-up does the same work whatever the seed.
+inline constexpr int64_t kWarmupLength = 32;
 
 /// Serving traffic mix: eight recurring hot lengths carry kHotPercent of
 /// the requests in fixed shares (kHotWeights), the rest is a stratified

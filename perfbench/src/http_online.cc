@@ -4,34 +4,27 @@
 // protocol and MRPC-like lengths. The model is small, so per-request and
 // per-step overheads dominate: the front end, admission, StepRunner
 // orchestration and the VM interpreter.
-#include <cstdio>
 #include <cstring>
 #include <stdexcept>
 #include <thread>
 
 #include "perfbench/src/common.h"
 #include "perfbench/src/serving.h"
-#include "src/core/compiler.h"
 #include "src/models/lstm.h"
-#include "src/models/workloads.h"
 #include "src/net/http_client.h"
 #include "src/net/http_server.h"
 #include "src/serve/server.h"
-#include "src/vm/vm.h"
 
 namespace perfbench {
 namespace {
 
 namespace serve = nimble::serve;
-using nimble::runtime::NDArray;
 using nimble::runtime::ObjectRef;
 
 constexpr int kPoolSize = 64;     // distinct requests, one round
 constexpr int kConnections = 4;   // closed-loop clients
 constexpr int kSlots = kConnections;
 constexpr size_t kQueueCapacity = 64;
-constexpr int kWarmupRequests = 8;
-constexpr float kLstmTolerance = 2e-4f;
 // Step-journal ring for the traced run. Should the measured phase take
 // more steps, the step metrics cover its latest kTracedJournal steps.
 constexpr size_t kTracedJournal = size_t{1} << 17;
@@ -45,11 +38,9 @@ nimble::models::LSTMConfig ModelConfig() {
   return config;
 }
 
-struct Request {
-  int64_t length = 0;
+struct Request : LstmCase {
   std::string body;  // raw float32 [length, 128]
   std::vector<std::pair<std::string, std::string>> headers;
-  NDArray expected;  // sequential VM, @main
 };
 
 struct Setup {
@@ -67,18 +58,14 @@ bool Matches(const nimble::net::BlockingHttpClient::Response& response,
                      response.body.size()) == 0;
 }
 
-/// Compile, start the server and the front end, send kWarmupRequests over
-/// one connection.
+/// Compile, start the server and the front end, send one warm-up request.
+/// The continuous path has one executable path, the step, so one request
+/// runs all of it.
 std::unique_ptr<Setup> MakeSetup(const nimble::models::LSTMModel& model,
-                                 const std::vector<Request>& pool,
+                                 const Request& warmup,
                                  const serve::ServeConfig& serve_config) {
   auto s = std::make_unique<Setup>();
-  nimble::ir::Module mod = model.module;
-  nimble::core::CompileOptions options;
-  options.batched_entries = {model.batched_spec};
-  auto t0 = Clock::now();
-  s->exec = nimble::core::Compile(mod, options).executable;
-  s->compile_ms = Seconds(Clock::now() - t0) * 1e3;
+  s->exec = CompileLstm(model, &s->compile_ms);
 
   s->server = std::make_unique<serve::Server>(serve_config);
   serve::ModelConfig m;
@@ -92,13 +79,9 @@ std::unique_ptr<Setup> MakeSetup(const nimble::models::LSTMModel& model,
   s->front->Start();
 
   nimble::net::BlockingHttpClient client("127.0.0.1", s->front->port());
-  for (int i = 0; i < kWarmupRequests; ++i) {
-    const Request& request = pool[static_cast<size_t>(i)];
-    auto response =
-        client.Request("POST", kTarget, request.body, request.headers);
-    if (!Matches(response, request)) {
-      throw std::runtime_error("http_lstm_online: warm-up request failed");
-    }
+  auto response = client.Request("POST", kTarget, warmup.body, warmup.headers);
+  if (!Matches(response, warmup)) {
+    throw std::runtime_error("http_lstm_online: warm-up request failed");
   }
   return s;
 }
@@ -126,8 +109,9 @@ Phase RunClients(uint16_t port, const std::vector<Request>& pool,
         auto response =
             client.Request("POST", kTarget, request.body, request.headers);
         auto received = Clock::now();
+        bool ok = request.reference_ok && Matches(response, request);
         part.Record(received, Seconds(received - sent) * 1e3,
-                    Matches(response, request) ? request.length : 0);
+                    ok ? request.length : 0);
       }
     });
   }
@@ -153,38 +137,27 @@ RunResult RunHttpOnline(const Options& options) {
   nimble::support::Rng rng(options.seed);
   std::vector<int64_t> lengths =
       StratifiedMRPCLengths(kPoolSize, rng);
-  std::vector<Request> pool(kPoolSize);
-  {
-    nimble::ir::Module mod = model.module;
-    nimble::core::CompileOptions compile_options;
-    compile_options.batched_entries = {model.batched_spec};
-    auto exec = nimble::core::Compile(mod, compile_options).executable;
-    nimble::vm::VirtualMachine sequential(exec);
-    for (int i = 0; i < kPoolSize; ++i) {
-      Request& request = pool[static_cast<size_t>(i)];
-      request.length = lengths[static_cast<size_t>(i)];
-      NDArray x = nimble::models::RandomSequence(request.length, width, rng);
-      request.body.assign(static_cast<const char*>(x.raw_data()), x.nbytes());
-      request.headers = {
-          {"Content-Type", "application/octet-stream"},
-          {"Accept", "application/octet-stream"},
-          {"X-Nimble-Shape",
-           std::to_string(request.length) + "," + std::to_string(width)},
-          {"X-Nimble-Length", std::to_string(request.length)}};
-      request.expected = nimble::runtime::AsTensor(sequential.Invoke(
-          "main",
-          {nimble::runtime::MakeTensor(x),
-           nimble::runtime::MakeTensor(
-               NDArray::Scalar<int64_t>(request.length))}));
-      if (!WithinTolerance(request.expected,
-                           nimble::models::RunLSTMReference(model.weights, x),
-                           kLstmTolerance)) {
-        std::fprintf(stderr, "http_lstm_online: request %d differs from the "
-                             "reference beyond %g\n", i, kLstmTolerance);
-        result.correct = false;
-      }
-    }
+  auto make_request = [width](LstmCase c) {
+    Request request;
+    static_cast<LstmCase&>(request) = std::move(c);
+    request.body.assign(static_cast<const char*>(request.x.raw_data()),
+                        request.x.nbytes());
+    request.headers = {
+        {"Content-Type", "application/octet-stream"},
+        {"Accept", "application/octet-stream"},
+        {"X-Nimble-Shape",
+         std::to_string(request.length) + "," + std::to_string(width)},
+        {"X-Nimble-Length", std::to_string(request.length)}};
+    return request;
+  };
+  std::vector<Request> pool;
+  for (LstmCase& c : PrepareLstmCases(model, lengths, rng, "http_lstm_online")) {
+    if (!c.reference_ok) result.correct = false;
+    pool.push_back(make_request(std::move(c)));
   }
+  const Request warmup = make_request(std::move(
+      PrepareLstmCases(model, {kWarmupLength}, rng, "http_lstm_online")
+          .front()));
 
   serve::ServeConfig serve_config;
   if (options.trace) {
@@ -192,14 +165,12 @@ RunResult RunHttpOnline(const Options& options) {
     serve_config.step_journal.ring_capacity = kTracedJournal;
   }
   std::vector<double> compile_ms;
-  double setup_s = 0.0;
-  std::unique_ptr<Setup> setup = RepeatSetup<Setup>(
-      [&] {
-        auto s = MakeSetup(model, pool, serve_config);
-        compile_ms.push_back(s->compile_ms);
-        return s;
-      },
-      &setup_s);
+  SetupTimer<Setup> setups([&] {
+    auto s = MakeSetup(model, warmup, serve_config);
+    compile_ms.push_back(s->compile_ms);
+    return s;
+  });
+  std::unique_ptr<Setup> setup = setups.Repeat();
   serve::Server& server = *setup->server;
   const uint16_t port = setup->front->port();
 
@@ -207,7 +178,10 @@ RunResult RunHttpOnline(const Options& options) {
     Phase phase = RunClients(port, pool, options.seconds);
     setup->front->Stop();
     server.Drain();
-    SetEndToEnd(phase, setup_s, &result);
+    SetEndToEnd(phase, &result);
+    setup.reset();
+    setups.Repeat();
+    result.Set("setup_s", setups.median_s());
     return result;
   }
 
@@ -272,7 +246,7 @@ RunResult RunHttpOnline(const Options& options) {
   serve::ServeConfig off_config;
   off_config.trace.enabled = false;
   off_config.step_journal.enabled = false;
-  std::unique_ptr<Setup> off_setup = MakeSetup(model, pool, off_config);
+  std::unique_ptr<Setup> off_setup = MakeSetup(model, warmup, off_config);
   std::vector<Phase> on, off;
   for (int round = 0; round < 2; ++round) {
     for (bool telemetry : {true, false}) {

@@ -6,6 +6,7 @@
 // kernels, with no network and no per-step interpreter loop.
 #include <condition_variable>
 #include <cstdio>
+#include <memory>
 #include <mutex>
 
 #include "perfbench/src/common.h"
@@ -15,7 +16,6 @@
 #include "src/models/workloads.h"
 #include "src/serve/exec_cache.h"
 #include "src/serve/server.h"
-#include "src/vm/vm.h"
 
 namespace perfbench {
 namespace {
@@ -30,7 +30,6 @@ constexpr int kBatch = 8;
 constexpr int kWorkers = 1;
 constexpr int64_t kMaxWaitMicros = 2000;
 constexpr size_t kQueueCapacity = 256;
-constexpr float kLstmTolerance = 2e-4f;
 
 nimble::models::LSTMConfig ModelConfig() {
   nimble::models::LSTMConfig config;
@@ -40,11 +39,14 @@ nimble::models::LSTMConfig ModelConfig() {
   return config;
 }
 
-struct Request {
-  int64_t length = 0;
+struct Request : LstmCase {
   std::vector<ObjectRef> args;
-  NDArray expected;  // sequential VM, @main
 };
+
+std::vector<ObjectRef> Args(const NDArray& x, int64_t length) {
+  return {nimble::runtime::MakeTensor(x),
+          nimble::runtime::MakeTensor(NDArray::Scalar<int64_t>(length))};
+}
 
 /// Executables the cache compiled, so the traced run can read their
 /// dispatch counters.
@@ -67,12 +69,7 @@ std::unique_ptr<Setup> MakeSetup(const nimble::models::LSTMModel& model,
                                  const std::vector<Request>& warmup,
                                  const serve::ServeConfig& serve_config) {
   auto s = std::make_unique<Setup>();
-  nimble::ir::Module mod = model.module;
-  nimble::core::CompileOptions options;
-  options.batched_entries = {model.batched_spec};
-  auto t0 = Clock::now();
-  s->exec = nimble::core::Compile(mod, options).executable;
-  s->compile_ms = Seconds(Clock::now() - t0) * 1e3;
+  s->exec = CompileLstm(model, &s->compile_ms);
 
   serve::ExecCacheConfig cache_config;
   cache_config.capacity = 16;
@@ -120,9 +117,9 @@ std::unique_ptr<Setup> MakeSetup(const nimble::models::LSTMModel& model,
 }
 
 /// Whole rounds of the pool for at least `seconds`, kWindow outstanding.
-/// Completions come back on the workers through TrySubmitCallback; this
-/// thread stamps their latency, then compares each result with the
-/// sequential one.
+/// Completions come back on the workers through TrySubmitCallback, which
+/// stamp their completion time; this thread then compares each result with
+/// the sequential one.
 Phase RunWindow(serve::Server& server, const std::vector<Request>& pool,
                 double seconds) {
   struct Done {
@@ -131,9 +128,14 @@ Phase RunWindow(serve::Server& server, const std::vector<Request>& pool,
     ObjectRef result;
     bool ok;
   };
-  std::mutex mu;
-  std::condition_variable cv;
-  std::vector<Done> done;
+  // Shared with the callbacks: a worker may still be inside one after this
+  // function has taken the last result and returned.
+  struct Inbox {
+    std::mutex mu;
+    std::condition_variable cv;
+    std::vector<Done> done;
+  };
+  auto inbox = std::make_shared<Inbox>();
 
   Phase phase;
   phase.start = Clock::now();
@@ -155,16 +157,13 @@ Phase RunWindow(serve::Server& server, const std::vector<Request>& pool,
       auto sent = Clock::now();
       auto admit = server.TrySubmitCallback(
           "m", request.args, request.length,
-          [&mu, &cv, &done, seq, sent](ObjectRef result,
-                                       std::exception_ptr error,
-                                       const nimble::obs::TraceContext&) {
+          [inbox, seq, sent](ObjectRef result, std::exception_ptr error,
+                             const nimble::obs::TraceContext&) {
             Done d{seq, sent, Clock::now(), std::move(result),
                    error == nullptr};
-            {
-              std::lock_guard<std::mutex> lock(mu);
-              done.push_back(std::move(d));
-            }
-            cv.notify_one();
+            std::lock_guard<std::mutex> lock(inbox->mu);
+            inbox->done.push_back(std::move(d));
+            inbox->cv.notify_one();
           });
       if (admit.accepted()) {
         outstanding++;
@@ -174,15 +173,16 @@ Phase RunWindow(serve::Server& server, const std::vector<Request>& pool,
     }
     if (outstanding == 0) break;
     {
-      std::unique_lock<std::mutex> lock(mu);
-      cv.wait(lock, [&] { return !done.empty(); });
-      ready.swap(done);
+      std::unique_lock<std::mutex> lock(inbox->mu);
+      inbox->cv.wait(lock, [&] { return !inbox->done.empty(); });
+      ready.swap(inbox->done);
     }
     for (Done& d : ready) {
       outstanding--;
       const Request& request = pool[static_cast<size_t>(d.seq) % pool.size()];
-      bool ok = d.ok && BitIdentical(nimble::runtime::AsTensor(d.result),
-                                     request.expected);
+      bool ok = d.ok && request.reference_ok &&
+                BitIdentical(nimble::runtime::AsTensor(d.result),
+                             request.expected);
       phase.Record(d.done, Seconds(d.done - d.sent) * 1e3,
                    ok ? request.length : 0);
     }
@@ -201,60 +201,44 @@ RunResult RunServeOffline(const Options& options) {
   const int64_t width = model.config.input_size;
   nimble::support::Rng rng(options.seed);
   std::vector<int64_t> lengths = SampleServingMix(kPoolSize, rng);
-  std::vector<Request> pool(kPoolSize);
-  {
-    nimble::ir::Module mod = model.module;
-    nimble::core::CompileOptions compile_options;
-    compile_options.batched_entries = {model.batched_spec};
-    auto exec = nimble::core::Compile(mod, compile_options).executable;
-    nimble::vm::VirtualMachine sequential(exec);
-    for (int i = 0; i < kPoolSize; ++i) {
-      Request& request = pool[static_cast<size_t>(i)];
-      request.length = lengths[static_cast<size_t>(i)];
-      NDArray x = nimble::models::RandomSequence(request.length, width, rng);
-      request.args = {
-          nimble::runtime::MakeTensor(x),
-          nimble::runtime::MakeTensor(NDArray::Scalar<int64_t>(request.length))};
-      request.expected =
-          nimble::runtime::AsTensor(sequential.Invoke("main", request.args));
-      if (!WithinTolerance(request.expected,
-                           nimble::models::RunLSTMReference(model.weights, x),
-                           kLstmTolerance)) {
-        std::fprintf(stderr, "serve_lstm_offline: request %d differs from "
-                             "the reference beyond %g\n", i, kLstmTolerance);
-        result.correct = false;
-      }
-    }
+  std::vector<Request> pool;
+  for (LstmCase& c :
+       PrepareLstmCases(model, lengths, rng, "serve_lstm_offline")) {
+    if (!c.reference_ok) result.correct = false;
+    Request request;
+    static_cast<LstmCase&>(request) = std::move(c);
+    request.args = Args(request.x, request.length);
+    pool.push_back(std::move(request));
   }
   // One warm-up request per hot length (sent as a full batch in set-up).
   std::vector<Request> warmup;
   for (int64_t length : kHotLengths) {
     Request request;
     request.length = length;
-    request.args = {nimble::runtime::MakeTensor(
-                        nimble::models::RandomSequence(length, width, rng)),
-                    nimble::runtime::MakeTensor(NDArray::Scalar<int64_t>(length))};
+    request.args =
+        Args(nimble::models::RandomSequence(length, width, rng), length);
     warmup.push_back(std::move(request));
   }
 
   serve::ServeConfig serve_config;
   serve_config.num_workers = kWorkers;
   std::vector<double> compile_ms;
-  double setup_s = 0.0;
   if (options.trace) serve_config.trace.ring_capacity = kTracedRing;
-  std::unique_ptr<Setup> setup = RepeatSetup<Setup>(
-      [&] {
-        auto s = MakeSetup(model, warmup, serve_config);
-        compile_ms.push_back(s->compile_ms);
-        return s;
-      },
-      &setup_s);
+  SetupTimer<Setup> setups([&] {
+    auto s = MakeSetup(model, warmup, serve_config);
+    compile_ms.push_back(s->compile_ms);
+    return s;
+  });
+  std::unique_ptr<Setup> setup = setups.Repeat();
   serve::Server& server = *setup->server;
 
   if (!options.trace) {
     Phase phase = RunWindow(server, pool, options.seconds);
     server.Drain();
-    SetEndToEnd(phase, setup_s, &result);
+    SetEndToEnd(phase, &result);
+    setup.reset();
+    setups.Repeat();
+    result.Set("setup_s", setups.median_s());
     return result;
   }
 

@@ -1,12 +1,54 @@
 #include "perfbench/src/serving.h"
 
 #include <algorithm>
+#include <cstdio>
 
+#include "src/core/compiler.h"
+#include "src/models/workloads.h"
 #include "src/obs/export.h"
+#include "src/vm/vm.h"
 
 namespace perfbench {
 
 namespace obs = nimble::obs;
+using nimble::runtime::NDArray;
+
+std::shared_ptr<nimble::vm::Executable> CompileLstm(
+    const nimble::models::LSTMModel& model, double* compile_ms) {
+  nimble::ir::Module mod = model.module;  // Compile rewrites it
+  nimble::core::CompileOptions options;
+  options.batched_entries = {model.batched_spec};
+  auto t0 = Clock::now();
+  auto exec = nimble::core::Compile(mod, options).executable;
+  if (compile_ms != nullptr) *compile_ms = Seconds(Clock::now() - t0) * 1e3;
+  return exec;
+}
+
+std::vector<LstmCase> PrepareLstmCases(const nimble::models::LSTMModel& model,
+                                       const std::vector<int64_t>& lengths,
+                                       nimble::support::Rng& rng,
+                                       const char* workload) {
+  nimble::vm::VirtualMachine sequential(CompileLstm(model));
+  std::vector<LstmCase> cases(lengths.size());
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    LstmCase& c = cases[i];
+    c.length = lengths[i];
+    c.x = nimble::models::RandomSequence(c.length, model.config.input_size,
+                                         rng);
+    c.expected = nimble::runtime::AsTensor(sequential.Invoke(
+        "main", {nimble::runtime::MakeTensor(c.x),
+                 nimble::runtime::MakeTensor(NDArray::Scalar<int64_t>(c.length))}));
+    c.reference_ok =
+        WithinTolerance(c.expected,
+                        nimble::models::RunLSTMReference(model.weights, c.x),
+                        kLstmTolerance);
+    if (!c.reference_ok) {
+      std::fprintf(stderr, "%s: request %zu differs from the reference "
+                           "beyond %g\n", workload, i, kLstmTolerance);
+    }
+  }
+  return cases;
+}
 
 std::map<std::string, int64_t> CopyBytesBySite() {
   std::map<std::string, int64_t> bytes;

@@ -1,19 +1,50 @@
-// Readers of the serving stack's telemetry for the traced runs of the two
-// serving workloads. Everything here goes through public interfaces:
+// Shared pieces of the two serving workloads: the LSTM they serve, its
+// prepare step, and readers of the serving stack's telemetry for their
+// traced runs. Everything here goes through public interfaces:
 // Server::stats() snapshots, Server::MemoryScopes(), the tracer's ring and
 // the process-wide copy ledger.
 #pragma once
 
 #include <map>
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "perfbench/src/common.h"
+#include "src/models/lstm.h"
 #include "src/obs/memory.h"
 #include "src/obs/trace.h"
 #include "src/serve/stats.h"
+#include "src/vm/executable.h"
 
 namespace perfbench {
+
+/// Absolute tolerance against models::RunLSTMReference, the one
+/// tests/test_e2e_models.cc uses.
+constexpr float kLstmTolerance = 2e-4f;
+
+/// Compiles the LSTM with its batched entry, as both serving workloads
+/// serve it. `*compile_ms`, when given, receives the core::Compile time.
+std::shared_ptr<nimble::vm::Executable> CompileLstm(
+    const nimble::models::LSTMModel& model, double* compile_ms = nullptr);
+
+/// One LSTM request of a workload's pool, drawn in the prepare step.
+struct LstmCase {
+  int64_t length = 0;
+  nimble::runtime::NDArray x;         // [length, input_size]
+  nimble::runtime::NDArray expected;  // @main on a sequential VM
+  /// `expected` lies within kLstmTolerance of RunLSTMReference. When it
+  /// does not, every timed operation on this case counts as failed.
+  bool reference_ok = false;
+};
+
+/// Draws one input per length from `rng` and computes its expected output
+/// and reference check (untimed). Mismatches are reported on stderr under
+/// the workload's name.
+std::vector<LstmCase> PrepareLstmCases(const nimble::models::LSTMModel& model,
+                                       const std::vector<int64_t>& lengths,
+                                       nimble::support::Rng& rng,
+                                       const char* workload);
 
 /// Trace-ring capacity for traced runs. The tracer shards its ring per
 /// committing thread and one thread commits every record here, so one

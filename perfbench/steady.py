@@ -1,11 +1,11 @@
 #!/usr/bin/env python3
 """Steadiness check: runs each workload as independent sets of runs.
 
-    python3 perfbench/steady.py [--runs 10] [--sets 2] [--workloads a,b]
-                                [--seconds S] [--trace] [--base-seed N]
+    python3 perfbench/steady.py [--runs 10] [--sets 2] [--trace]
 
-Each set runs every workload --runs times, each time with another seed
-(workloads interleaved, so slow drift of the host hits all of them alike).
+Each set runs every workload of BENCHMARK.json --runs times at its
+run_seconds, each time with another seed: 1 + 1000 * set + run (workloads
+interleaved, so slow drift of the host hits all of them alike).
 For every metric and set it prints the median, the quartiles (Python's
 statistics.quantiles(n=4)) and the spread: (Q3 - Q1) / median. Without
 --trace it also prints, per end-to-end metric, how much worse the last
@@ -46,22 +46,18 @@ def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--runs", type=int, default=10)
     parser.add_argument("--sets", type=int, default=2)
-    parser.add_argument("--workloads",
-                        default=",".join(w["name"] for w in spec["workloads"]))
-    parser.add_argument("--seconds", type=float, default=spec["run_seconds"])
     parser.add_argument("--trace", action="store_true")
-    parser.add_argument("--base-seed", type=int, default=1)
     args = parser.parse_args()
-    workloads = args.workloads.split(",")
+    workloads = [w["name"] for w in spec["workloads"]]
     metrics = spec["per_layer" if args.trace else "end_to_end"]
 
     # results[workload][set] = list of run results
     results = {w: [[] for _ in range(args.sets)] for w in workloads}
     for s in range(args.sets):
         for i in range(args.runs):
-            seed = args.base_seed + 1000 * s + i
+            seed = 1 + 1000 * s + i
             for w in workloads:
-                r = run_once(w, seed, args.seconds, args.trace)
+                r = run_once(w, seed, spec["run_seconds"], args.trace)
                 results[w][s].append(r)
                 print("set %d run %d %-20s seed %-5d attempted %-7d failed %d"
                       % (s + 1, i + 1, w, seed, r["attempted"], r["failed"]),
