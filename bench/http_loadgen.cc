@@ -21,10 +21,12 @@
 //      429s on the wire, never 5xx, hangs, or drops.
 //
 // --json writes BENCH_http.json with all three phases' numbers for CI,
-// plus four observability artifacts scraped from the phase-2 server
+// plus five observability artifacts scraped from the phase-2 server
 // after it drains (so every counter and step record has settled):
 // METRICS.txt (the GET /metrics Prometheus exposition — counters must
 // match the loadgen's own counts, checked by scripts/check_metrics.sh),
+// STATS.json (the GET /stats document — a view of the same registry, so
+// its per-model and aggregate counters must equal METRICS.txt exactly),
 // TRACE.json (GET /debug/trace chrome-trace export, must be nonempty),
 // STEPS.json (GET /debug/steps?model=c step-journal tail — splices,
 // retires, and active-row counts are cross-checked against the loadgen's
@@ -58,6 +60,7 @@
 #include "src/net/http_server.h"
 #include "src/net/json.h"
 #include "src/obs/memory.h"
+#include "src/obs/metrics.h"
 #include "src/serve/server.h"
 #include "src/vm/vm.h"
 
@@ -339,8 +342,8 @@ HttpResult RunHttpClosedLoop(const Workload& w, uint16_t port, int clients,
                          latencies[c].end());
   }
   total.rps = static_cast<double>(total.ok200) / total.elapsed_seconds;
-  total.p50_us = serve::ServeStats::Percentile(all_latencies, 50.0);
-  total.p99_us = serve::ServeStats::Percentile(all_latencies, 99.0);
+  total.p50_us = obs::NearestRankPercentile(all_latencies, 50.0);
+  total.p99_us = obs::NearestRankPercentile(all_latencies, 99.0);
   return total;
 }
 
@@ -504,6 +507,7 @@ int main(int argc, char** argv) {
     server.Drain();
     if (write_json) {
       DumpEndpoint(front.port(), "/metrics", "METRICS.txt");
+      DumpEndpoint(front.port(), "/stats", "STATS.json");
       DumpEndpoint(front.port(), "/debug/trace?n=64", "TRACE.json");
       DumpEndpoint(front.port(), "/debug/steps?model=c", "STEPS.json");
       DumpEndpoint(front.port(), "/debug/memory", "MEMORY.json");

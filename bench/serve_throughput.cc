@@ -40,6 +40,7 @@
 #include "src/models/bert.h"
 #include "src/models/lstm.h"
 #include "src/models/workloads.h"
+#include "src/obs/metrics.h"
 #include "src/serve/exec_cache.h"
 #include "src/serve/server.h"
 #include "src/vm/vm.h"
@@ -473,12 +474,6 @@ int main(int argc, char** argv) {
       std::to_string(ct_requests) +
       " requests, 70% short / 30% long, paced arrivals)");
 
-  auto percentile = [](std::vector<double> v, double p) {
-    if (v.empty()) return 0.0;
-    std::sort(v.begin(), v.end());
-    size_t rank = static_cast<size_t>(p * static_cast<double>(v.size() - 1));
-    return v[rank];
-  };
   struct LatencyRun {
     serve::StatsSnapshot stats;
     bool correct = true;
@@ -554,9 +549,9 @@ int main(int argc, char** argv) {
       all_lat.push_back(dones[i].latency_us);
       if (ct_short[i]) short_lat.push_back(dones[i].latency_us);
     }
-    run.short_p50_us = percentile(short_lat, 0.50);
-    run.short_p99_us = percentile(short_lat, 0.99);
-    run.all_p99_us = percentile(all_lat, 0.99);
+    run.short_p50_us = obs::NearestRankPercentile(short_lat, 50.0);
+    run.short_p99_us = obs::NearestRankPercentile(short_lat, 99.0);
+    run.all_p99_us = obs::NearestRankPercentile(all_lat, 99.0);
     return run;
   };
   // Interleaved best-of-3 on short-request p99, the headline number here.

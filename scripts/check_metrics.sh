@@ -2,13 +2,17 @@
 # Holds the observability plane to its contract after an http_loadgen run
 # (bench_http_loadgen ... --json [--trace-overhead] must have run in the
 # current directory first, leaving BENCH_http.json, METRICS.txt,
-# TRACE.json, and STEPS.json behind):
+# STATS.json, TRACE.json, STEPS.json, and MEMORY.json behind):
 #
 #   - every expected metric family is present in the /metrics exposition;
 #   - the server-side request counters equal the loadgen's own client-side
 #     tallies exactly (completed == 200s, rejected == 429s — the metrics
 #     plane may not lose or invent a single request), per model: the
 #     packed "m" and the continuous "c" are checked separately;
+#   - /stats is a view of the /metrics registry: per model ("m" and "c")
+#     its completed/failed/rejected/arrivals counts and its continuous
+#     splices/steps equal the matching series exactly, and its aggregate
+#     equals the sum over the models;
 #   - the continuous step accounting balances: splices == completed "c"
 #     requests, the active-row histogram sum == the total sequence length
 #     the loadgen sent to "c", and steps * slots == active + idle row
@@ -25,8 +29,8 @@
 #     agrees with the /metrics exposition byte for byte;
 #   - when --trace-overhead ran: telemetry costs <= 3% of peak req/s.
 set -eu
-for artifact in BENCH_http.json METRICS.txt TRACE.json STEPS.json \
-                MEMORY.json; do
+for artifact in BENCH_http.json METRICS.txt STATS.json TRACE.json \
+                STEPS.json MEMORY.json; do
   if [ ! -s "$artifact" ]; then
     echo "missing or empty artifact: $artifact (run bench_http_loadgen --json first)" >&2
     exit 1
@@ -42,6 +46,8 @@ with open("BENCH_http.json") as f:
     bench = json.load(f)
 with open("METRICS.txt") as f:
     metrics = f.read()
+with open("STATS.json") as f:
+    stats_doc = json.load(f)
 with open("TRACE.json") as f:
     trace = json.load(f)
 with open("STEPS.json") as f:
@@ -116,6 +122,50 @@ expected_predicts = http["completed"] + http["rejected_429"]
 if predict != expected_predicts:
     failures.append(f"predict endpoint counter {predict} != "
                     f"completed+shed {expected_predicts}")
+
+# /stats reads the same registry series /metrics renders, and the loadgen
+# scrapes both after Drain, so they must agree exactly, per model; the
+# aggregate is the per-model sum.
+def stats_counts(view):
+    cont = view.get("continuous", {})
+    return {
+        "completed": view.get("completed"),
+        "failed": view.get("failed"),
+        "rejected": view.get("rejected"),
+        "arrivals": view.get("arrivals"),
+        "splices": cont.get("splices", 0),
+        "steps": cont.get("steps", 0),
+    }
+
+models_view = stats_doc.get("models", {})
+aggregate = stats_counts(stats_doc.get("aggregate", {}))
+summed = {key: 0 for key in aggregate}
+for model in ("m", "c"):
+    if model not in models_view:
+        failures.append(f"/stats has no model {model}")
+        continue
+    counts = stats_counts(models_view[model])
+    label = f'model="{model}"'
+    exposed = {
+        "completed": series_value("nimble_requests_total",
+                                  f'{label},outcome="completed"'),
+        "failed": series_value("nimble_requests_total",
+                               f'{label},outcome="failed"'),
+        "rejected": series_value("nimble_requests_total",
+                                 f'{label},outcome="rejected"'),
+        "arrivals": series_value("nimble_arrivals_total", label),
+        "splices": series_value("nimble_splices_total", label),
+        "steps": series_value("nimble_steps_total", label),
+    }
+    for key, value in counts.items():
+        if value != exposed[key]:
+            failures.append(f"/stats {model}.{key} {value} != /metrics "
+                            f"{exposed[key]}")
+        summed[key] += value or 0
+for key, value in aggregate.items():
+    if value != summed[key]:
+        failures.append(f"/stats aggregate.{key} {value} != sum over models "
+                        f"{summed[key]}")
 
 # Continuous step accounting. The loadgen scrapes after Drain, so every
 # counter has settled and these identities must hold EXACTLY:
@@ -280,7 +330,8 @@ print(f"metrics plane consistent: {int(completed_m)} packed + "
       f"{int(completed_c)} continuous completed, "
       f"{int(rejected_m + rejected_c)} shed, zero 5xx, "
       f"{len(events)} trace events, {int(recorded)} steps journaled "
-      f"({int(splices)} splices, row-step balance exact), "
+      f"({int(splices)} splices, row-step balance exact), /stats == "
+      f"/metrics per model and summed, "
       f"{copied_total} bytes copied across {len(copy_sites)} sites, "
       f"workers leak-free after drain")
 EOF

@@ -101,15 +101,13 @@ ContinuousCheck AnalyzeContinuous(const vm::Executable& exec,
 StepRunner::StepRunner(std::shared_ptr<vm::Executable> exec,
                        std::string function, int64_t num_slots,
                        serve::Channel<serve::Request>* queue,
-                       serve::ServeStats* model_stats,
-                       serve::ServeStats* aggregate_stats, obs::Tracer* tracer,
+                       serve::ServeStats* stats, obs::Tracer* tracer,
                        obs::StepJournal* journal)
     : exec_(std::move(exec)),
       function_(std::move(function)),
       num_slots_(num_slots),
       queue_(queue),
-      model_stats_(model_stats),
-      aggregate_stats_(aggregate_stats),
+      stats_(stats),
       tracer_(tracer),
       journal_(journal),
       journal_on_(journal != nullptr && journal->enabled()) {
@@ -260,8 +258,7 @@ void StepRunner::Admit(SlotMap& slots, serve::Request request) {
           obs::SteadyClock::now().time_since_epoch())
           .count(),
       std::memory_order_relaxed);
-  if (model_stats_ != nullptr) model_stats_->RecordSplice(wait_us);
-  if (aggregate_stats_ != nullptr) aggregate_stats_->RecordSplice(wait_us);
+  if (stats_ != nullptr) stats_->RecordSplice(wait_us);
 }
 
 void StepRunner::RunStep(SlotMap& slots) {
@@ -432,12 +429,7 @@ void StepRunner::RunStep(SlotMap& slots) {
   double duration_us =
       std::chrono::duration<double, std::micro>(step_end - step_start)
           .count();
-  if (model_stats_ != nullptr) {
-    model_stats_->RecordStep(occupied, B, duration_us);
-  }
-  if (aggregate_stats_ != nullptr) {
-    aggregate_stats_->RecordStep(occupied, B, duration_us);
-  }
+  if (stats_ != nullptr) stats_->RecordStep(occupied, B, duration_us);
   push_record(step_end, /*ok=*/true, step_vm);
   progress(step_end);
   step_seq_++;
@@ -488,13 +480,8 @@ void StepRunner::Complete(serve::Request request, ObjectRef result,
                 .count()
           : 0.0;
   double exec_us = latency_us - queue_wait_us;
-  if (model_stats_ != nullptr) {
-    model_stats_->RecordCompletion(latency_us, queue_wait_us, exec_us, ok,
-                                   now);
-  }
-  if (aggregate_stats_ != nullptr) {
-    aggregate_stats_->RecordCompletion(latency_us, queue_wait_us, exec_us, ok,
-                                       now);
+  if (stats_ != nullptr) {
+    stats_->RecordCompletion(latency_us, queue_wait_us, exec_us, ok, now);
   }
   requests_completed_.fetch_add(1, std::memory_order_relaxed);
   NotifyComplete(request, std::move(result), std::move(error));

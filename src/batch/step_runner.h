@@ -85,14 +85,12 @@ class StepRunner {
  public:
   /// `exec` must pass AnalyzeContinuous for `function` and `num_slots`
   /// (CHECKed). `queue` is the model's request queue; the runner drains it
-  /// until Close()d and empty. `model_stats`/`aggregate_stats`/`tracer`/
-  /// `journal` may be null. Constructs the VM on the caller's thread (the
+  /// until Close()d and empty. `stats`/`tracer`/`journal` may be null. Constructs the VM on the caller's thread (the
   /// VM constructor populates the process kernel registries, which must
   /// happen before worker threads run); call Start() to begin serving.
   StepRunner(std::shared_ptr<vm::Executable> exec, std::string function,
              int64_t num_slots, serve::Channel<serve::Request>* queue,
-             serve::ServeStats* model_stats,
-             serve::ServeStats* aggregate_stats, obs::Tracer* tracer,
+             serve::ServeStats* stats, obs::Tracer* tracer,
              obs::StepJournal* journal = nullptr);
 
   /// Joins (the queue must already be closed) and releases the leased
@@ -158,8 +156,7 @@ class StepRunner {
   std::string function_;
   int64_t num_slots_;
   serve::Channel<serve::Request>* queue_;
-  serve::ServeStats* model_stats_;
-  serve::ServeStats* aggregate_stats_;
+  serve::ServeStats* stats_;
   obs::Tracer* tracer_;
   obs::StepJournal* journal_;
   /// Journal event accumulation is skipped entirely when false (journal

@@ -455,9 +455,8 @@ InferenceHandler::Outcome InferenceHandler::Respond(int status,
 
 Json InferenceHandler::StatsJson() const {
   // One SnapshotAll pass instead of N+1 per-model stats() calls: each
-  // ServeStats mutex is taken exactly once, and the aggregate view comes
-  // from the same sweep as the per-model ones (consistency contract in
-  // src/serve/stats.h).
+  // model's instruments are read once, and the aggregate is the sum of
+  // those same readings (consistency contract in src/serve/stats.h).
   serve::Server::ServerSnapshot snap = server_->SnapshotAll();
   Json doc = Json::Object();
   Json info = Json::Object();

@@ -74,8 +74,9 @@ namespace nimble {
 namespace net {
 
 /// Per-endpoint and per-status counters for the HTTP front end (the serving
-/// pipeline's own metrics live in serve::ServeStats; these cover what only
-/// the network layer sees: routing, protocol errors, shed requests).
+/// pipeline's own metrics are serve::ServeStats' series in the same
+/// registry; these cover what only the network layer sees: routing,
+/// protocol errors, shed requests).
 ///
 /// Backed by sharded obs::Counter instruments in the server's registry
 /// (families nimble_http_requests_total{endpoint} and

@@ -16,10 +16,54 @@ size_t ThreadShardIndex() {
   return shard;
 }
 
+double NearestRankPercentile(std::vector<double> sample, double p) {
+  if (sample.empty()) return 0.0;
+  std::sort(sample.begin(), sample.end());
+  if (p <= 0.0) return sample.front();
+  if (p >= 100.0) return sample.back();
+  size_t rank = static_cast<size_t>(
+      std::ceil(p / 100.0 * static_cast<double>(sample.size())));
+  return sample[std::max<size_t>(rank, 1) - 1];
+}
+
+double HistogramSnapshot::Quantile(double p) const {
+  if (count == 0) return 0.0;
+  // Same rank as NearestRankPercentile; the answer is the rank's bucket.
+  int64_t rank = static_cast<int64_t>(
+      std::ceil(std::clamp(p, 0.0, 100.0) / 100.0 * static_cast<double>(count)));
+  rank = std::max<int64_t>(rank, 1);
+  int64_t seen = 0;
+  for (size_t i = 0; i < bounds.size(); ++i) {
+    seen += counts[i];
+    if (seen >= rank) return std::min(bounds[i], max);
+  }
+  return max;  // the +Inf bucket
+}
+
+void HistogramSnapshot::Merge(const HistogramSnapshot& other) {
+  if (bounds.empty()) {
+    *this = other;
+    return;
+  }
+  NIMBLE_CHECK(bounds == other.bounds)
+      << "merging histograms with different bucket layouts";
+  for (size_t i = 0; i < counts.size(); ++i) counts[i] += other.counts[i];
+  if (other.count > 0) max = count > 0 ? std::max(max, other.max) : other.max;
+  count += other.count;
+  sum += other.sum;
+}
+
 Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
-  NIMBLE_CHECK(!bounds_.empty()) << "histogram needs at least one bound";
-  NIMBLE_CHECK(std::is_sorted(bounds_.begin(), bounds_.end()))
-      << "histogram bounds must ascend";
+  // The layout's sub-bucket count is the number of bounds in (1, 2];
+  // confirm the whole layout before trusting the exponent math.
+  size_t sub = static_cast<size_t>(
+      std::count_if(bounds_.begin(), bounds_.end(),
+                    [](double b) { return b > 1.0 && b <= 2.0; }));
+  NIMBLE_CHECK(sub > 0 && (sub & (sub - 1)) == 0 &&
+               (bounds_.size() - 1) % sub == 0 &&
+               bounds_ == LogLinearBounds(sub, (bounds_.size() - 1) / sub))
+      << "histogram bounds must be a LogLinearBounds layout";
+  sub_buckets_ = sub;
   for (Cell& cell : cells_) {
     cell.counts =
         std::make_unique<std::atomic<int64_t>[]>(bounds_.size() + 1);
@@ -29,29 +73,53 @@ Histogram::Histogram(std::vector<double> bounds) : bounds_(std::move(bounds)) {
   }
 }
 
+size_t Histogram::BucketOf(double v) const {
+  // First bound >= v; everything above the last bound lands in +Inf.
+  if (!(v > 1.0)) return 0;
+  if (v > bounds_.back()) return bounds_.size();
+  // v = mantissa * 2^exp with mantissa in [0.5, 1): v lies in octave
+  // exp - 1, at fraction 2 * mantissa - 1 of its width. Scaling by a power
+  // of two is exact, so the ceiling is the first bound >= v.
+  int exp = 0;
+  double mantissa = std::frexp(v, &exp);
+  double sub = static_cast<double>(sub_buckets_);
+  return static_cast<size_t>(exp - 1) * sub_buckets_ +
+         static_cast<size_t>(std::ceil((2.0 * mantissa - 1.0) * sub));
+}
+
 void Histogram::Observe(double v) {
   Cell& cell = cells_[ThreadShardIndex()];
-  // First bound >= v; everything above the last bound lands in +Inf.
-  size_t bucket =
-      static_cast<size_t>(std::lower_bound(bounds_.begin(), bounds_.end(), v) -
-                          bounds_.begin());
-  cell.counts[bucket].fetch_add(1, std::memory_order_relaxed);
-  cell.count.fetch_add(1, std::memory_order_relaxed);
-  // C++17 has no atomic<double>::fetch_add; the CAS loop below is
+  cell.counts[BucketOf(v)].fetch_add(1, std::memory_order_relaxed);
+  // C++17 has no atomic<double>::fetch_add; the CAS loops below are
   // effectively free because each thread owns its cell.
   double sum = cell.sum.load(std::memory_order_relaxed);
   while (!cell.sum.compare_exchange_weak(sum, sum + v,
                                          std::memory_order_relaxed)) {
   }
+  double max = cell.max.load(std::memory_order_relaxed);
+  while (v > max && !cell.max.compare_exchange_weak(
+                        max, v, std::memory_order_relaxed)) {
+  }
 }
 
-int64_t Histogram::Count() const {
-  int64_t total = 0;
+HistogramSnapshot Histogram::Snapshot() const {
+  HistogramSnapshot snap;
+  snap.bounds = bounds_;
+  snap.counts.assign(bounds_.size() + 1, 0);
+  double max = -std::numeric_limits<double>::infinity();
   for (const Cell& cell : cells_) {
-    total += cell.count.load(std::memory_order_relaxed);
+    for (size_t i = 0; i <= bounds_.size(); ++i) {
+      snap.counts[i] += cell.counts[i].load(std::memory_order_relaxed);
+    }
+    snap.sum += cell.sum.load(std::memory_order_relaxed);
+    max = std::max(max, cell.max.load(std::memory_order_relaxed));
   }
-  return total;
+  for (int64_t c : snap.counts) snap.count += c;
+  if (snap.count > 0) snap.max = max;
+  return snap;
 }
+
+int64_t Histogram::Count() const { return CumulativeBuckets().back(); }
 
 double Histogram::Sum() const {
   double total = 0.0;
@@ -72,25 +140,28 @@ std::vector<int64_t> Histogram::CumulativeBuckets() const {
   return merged;
 }
 
-std::vector<double> Histogram::ExponentialBounds(double start, double factor,
-                                                 size_t count) {
-  NIMBLE_CHECK(start > 0.0 && factor > 1.0 && count > 0);
-  std::vector<double> bounds;
-  bounds.reserve(count);
-  double b = start;
-  for (size_t i = 0; i < count; ++i) {
-    bounds.push_back(b);
-    b *= factor;
+std::vector<double> Histogram::LogLinearBounds(size_t sub_buckets,
+                                               size_t octaves) {
+  NIMBLE_CHECK(sub_buckets > 0 && (sub_buckets & (sub_buckets - 1)) == 0)
+      << "sub-buckets per octave must be a power of two";
+  std::vector<double> bounds = {1.0};
+  bounds.reserve(1 + sub_buckets * octaves);
+  for (size_t k = 0; k < octaves; ++k) {
+    for (size_t j = 1; j <= sub_buckets; ++j) {
+      bounds.push_back(std::ldexp(
+          1.0 + static_cast<double>(j) / static_cast<double>(sub_buckets),
+          static_cast<int>(k)));
+    }
   }
   return bounds;
 }
 
 std::vector<double> Histogram::LatencyBoundsUs() {
-  return ExponentialBounds(1.0, 2.0, 27);  // 1us .. ~67s
+  return LogLinearBounds(8, 26);  // 1us .. ~67s
 }
 
 std::vector<double> Histogram::BatchSizeBounds() {
-  return ExponentialBounds(1.0, 2.0, 7);  // 1 .. 64
+  return LogLinearBounds(1, 6);  // 1 .. 64
 }
 
 std::string MetricRegistry::EscapeLabelValue(const std::string& value) {

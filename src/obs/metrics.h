@@ -21,14 +21,18 @@
 //
 // Naming scheme (rendered at GET /metrics): families are prefixed
 // `nimble_`, counters end in `_total`, and latency histograms carry a
-// `_us` unit suffix because their buckets are exact powers of two in
-// microseconds (log2 buckets make the exposition's `le` labels integers
-// and the merge trivially exact). See docs/ARCHITECTURE.md §Observability.
+// `_us` unit suffix. Latency histograms use a log-linear layout: every
+// power-of-two octave from 1 us to 2^26 us (~67 s) is split into 8 equal
+// sub-buckets, so a bucket's upper bound overstates any value in it by at
+// most 12.5%, and the bucket of a value is computed from its binary
+// exponent instead of searched. Histograms with identical bounds merge
+// exactly. See docs/ARCHITECTURE.md §Observability.
 #pragma once
 
 #include <array>
 #include <atomic>
 #include <cstdint>
+#include <limits>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -81,44 +85,83 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
+/// Nearest-rank percentile of an unsorted sample (p in [0, 100]): the
+/// smallest value with at least p% of the sample at or below it; 0 on an
+/// empty sample. Histogram::Quantile estimates this same rank from buckets.
+double NearestRankPercentile(std::vector<double> sample, double p);
+
+/// A histogram's cells merged at one instant, as plain values. Snapshots of
+/// histograms with identical bounds merge exactly: bucket counts, counts
+/// and sums add, maxima take the larger.
+struct HistogramSnapshot {
+  std::vector<double> bounds;
+  /// Per-bucket (not cumulative) counts, size bounds.size() + 1; the last
+  /// entry is the +Inf bucket.
+  std::vector<int64_t> counts;
+  int64_t count = 0;  // sum of `counts`
+  double sum = 0.0;
+  double max = 0.0;  // exact; 0 when empty
+
+  double Mean() const {
+    return count > 0 ? sum / static_cast<double>(count) : 0.0;
+  }
+  /// Estimate of the nearest-rank p-th percentile: the upper bound of the
+  /// bucket holding that rank, capped at the exact max. It never
+  /// understates the exact value and overstates it by at most one bucket
+  /// width (12.5% on the latency layout). 0 when empty.
+  double Quantile(double p) const;
+  /// Adds `other` in; an empty-bounds (default) snapshot adopts its
+  /// layout. Bounds must otherwise match (checked).
+  void Merge(const HistogramSnapshot& other);
+};
+
 /// Fixed-bucket histogram with sharded cells. Observe() is a relaxed add
-/// into the calling thread's cell (bucket count, total count, sum); reads
-/// merge on demand. Bucket upper bounds are fixed at construction and
-/// shared by every cell; the merged per-bucket counts render as the
-/// cumulative `le` series Prometheus expects.
+/// into the calling thread's cell (bucket count and sum, plus a max that
+/// only moves when a new maximum arrives); reads merge on demand. Bucket
+/// upper bounds are fixed at construction and shared by every cell; the
+/// merged per-bucket counts render as the cumulative `le` series
+/// Prometheus expects.
 class Histogram {
  public:
+  /// `bounds` must be a LogLinearBounds layout (checked).
   explicit Histogram(std::vector<double> bounds);
 
   void Observe(double v);
 
   int64_t Count() const;
   double Sum() const;
+  double Quantile(double p) const { return Snapshot().Quantile(p); }
+  HistogramSnapshot Snapshot() const;
   /// Merged per-bucket counts, cumulative, size bounds().size() + 1 (the
-  /// last entry is the +Inf bucket and equals Count() up to concurrent
-  /// recording skew — render reads count from the same merge, so the
-  /// exposition itself is always internally consistent).
+  /// last entry is the +Inf bucket and equals Count()).
   std::vector<int64_t> CumulativeBuckets() const;
   const std::vector<double>& bounds() const { return bounds_; }
 
-  /// `count` bounds start, start*factor, start*factor^2, ... — the log
-  /// bucket layout every latency histogram here uses (start=1, factor=2).
-  static std::vector<double> ExponentialBounds(double start, double factor,
-                                               size_t count);
-  /// Default latency layout: 1us..~67s in 27 power-of-two buckets.
+  /// 1, then `sub_buckets` equal steps through each of `octaves`
+  /// power-of-two octaves: 2^k * (1 + j / sub_buckets) for j = 1..sub_buckets.
+  /// `sub_buckets` must be a power of two, which keeps every bound exact
+  /// and lets Observe find a value's bucket from its binary exponent.
+  static std::vector<double> LogLinearBounds(size_t sub_buckets,
+                                             size_t octaves);
+  /// Default latency layout: LogLinearBounds(8, 26), 1us..~67s in 209
+  /// bounds (plus +Inf), at most 12.5% relative bucket width.
   static std::vector<double> LatencyBoundsUs();
-  /// Batch-occupancy layout: 1..64 in power-of-two buckets.
+  /// Batch-occupancy layout: LogLinearBounds(1, 6), 1..64 in power-of-two
+  /// buckets.
   static std::vector<double> BatchSizeBounds();
 
  private:
   struct alignas(64) Cell {
     /// One count per bound plus the +Inf overflow bucket.
     std::unique_ptr<std::atomic<int64_t>[]> counts;
-    std::atomic<int64_t> count{0};
     std::atomic<double> sum{0.0};
+    std::atomic<double> max{-std::numeric_limits<double>::infinity()};
   };
 
+  size_t BucketOf(double v) const;
+
   std::vector<double> bounds_;
+  size_t sub_buckets_ = 0;  // per octave, of the LogLinearBounds layout
   std::array<Cell, kMetricShards> cells_;
 };
 

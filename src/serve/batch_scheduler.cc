@@ -46,9 +46,8 @@ bool BatchScheduler::PerModel::HasFullBucket() const {
   return false;
 }
 
-BatchScheduler::BatchScheduler(std::vector<ModelState*> models, VMPool* pool,
-                               ServeStats* aggregate)
-    : pool_(pool), aggregate_(aggregate) {
+BatchScheduler::BatchScheduler(std::vector<ModelState*> models, VMPool* pool)
+    : pool_(pool) {
   NIMBLE_CHECK(pool_ != nullptr);
   NIMBLE_CHECK(!models.empty()) << "scheduler needs at least one model";
   per_model_.reserve(models.size());
@@ -143,7 +142,6 @@ int64_t BatchScheduler::Flush(PerModel& m, int bucket) {
   auto& pending = m.pending[static_cast<size_t>(bucket)];
   if (pending.empty()) return 0;
   Batch batch;
-  batch.bucket = bucket;
   batch.model = m.state->index;
   batch.exec = m.state->exec;
   batch.stats = &m.state->stats;
@@ -229,7 +227,6 @@ int64_t BatchScheduler::Flush(PerModel& m, int bucket) {
 
   int64_t take = static_cast<int64_t>(batch.requests.size());
   m.state->stats.RecordBatch(batch.requests.size());
-  if (aggregate_ != nullptr) aggregate_->RecordBatch(batch.requests.size());
   pool_->Submit(std::move(batch));  // blocks under pool backpressure
   return take;
 }

@@ -122,9 +122,15 @@ int64_t AdaptiveWaitUpdate(const BatchPolicy& policy, int64_t current_wait_us,
 /// its stats. Owned by the Server; the scheduler borrows stable pointers.
 /// The queue is written by client threads and drained by the scheduler
 /// thread; `stats` is written by client threads (enqueues/rejections), the
-/// scheduler (batches), and pool workers (completions) — it locks
-/// internally. All other fields are set before Start() and read-only after.
+/// scheduler (batches), and pool workers (completions) — its instruments
+/// are lock-free. All other fields are set before Start() and read-only
+/// after.
 struct ModelState {
+  /// `stats` registers the model's series in `registry`, which must
+  /// outlive this state.
+  ModelState(obs::MetricRegistry& registry, std::string model_name)
+      : name(std::move(model_name)), stats(registry, name) {}
+
   std::string name;
   /// Dense index of this model within its server (stamped by AddModel).
   int index = -1;
@@ -155,12 +161,10 @@ struct ModelState {
 
 class BatchScheduler {
  public:
-  /// `models` (the pointed-to states), `pool`, and `aggregate` must outlive
-  /// the scheduler; `aggregate` may be null. The constructor attaches its
-  /// notifier to every model's queue, so it must run before any request is
-  /// admitted.
-  BatchScheduler(std::vector<ModelState*> models, VMPool* pool,
-                 ServeStats* aggregate = nullptr);
+  /// `models` (the pointed-to states) and `pool` must outlive the
+  /// scheduler. The constructor attaches its notifier to every model's
+  /// queue, so it must run before any request is admitted.
+  BatchScheduler(std::vector<ModelState*> models, VMPool* pool);
   ~BatchScheduler();
 
   /// Launches the scheduler thread. Call at most once.
@@ -220,7 +224,6 @@ class BatchScheduler {
 
   std::vector<PerModel> per_model_;
   VMPool* pool_;
-  ServeStats* aggregate_;
   ChannelNotifier notifier_;
   /// Round-robin cursor: index of the model the next DRR round starts at.
   size_t rr_ = 0;

@@ -8,11 +8,8 @@ namespace nimble {
 namespace serve {
 
 ExecCache::ExecCache(CompileVariantFn compile, ExecCacheConfig config,
-                     ServeStats* model_stats, ServeStats* aggregate_stats)
-    : compile_(std::move(compile)),
-      config_(config),
-      model_stats_(model_stats),
-      aggregate_stats_(aggregate_stats) {
+                     ServeStats* stats)
+    : compile_(std::move(compile)), config_(config), stats_(stats) {
   NIMBLE_CHECK(compile_ != nullptr) << "ExecCache needs a compile function";
   NIMBLE_CHECK_GE(config_.capacity, 1u);
   NIMBLE_CHECK_GE(config_.min_observations, 1);
@@ -28,11 +25,9 @@ ExecCache::~ExecCache() {
   compiler_.join();
 }
 
-void ExecCache::set_stats(ServeStats* model_stats,
-                          ServeStats* aggregate_stats) {
+void ExecCache::set_stats(ServeStats* stats) {
   std::lock_guard<std::mutex> lock(mu_);
-  model_stats_ = model_stats;
-  aggregate_stats_ = aggregate_stats;
+  stats_ = stats;
 }
 
 std::shared_ptr<vm::Executable> ExecCache::Lookup(int64_t length,
@@ -69,14 +64,12 @@ std::shared_ptr<vm::Executable> ExecCache::Lookup(int64_t length,
     // Stats under mu_: set_stats (how Server::Shutdown detaches a shared
     // cache before the Server's stats die) swaps the pointers under the
     // same mutex, so a detach cannot race an in-flight recording.
-    // ServeStats locks internally and never calls back into the cache, so
-    // the nesting cannot deadlock.
-    if (result != nullptr) {
-      if (model_stats_ != nullptr) model_stats_->RecordCacheHit();
-      if (aggregate_stats_ != nullptr) aggregate_stats_->RecordCacheHit();
-    } else {
-      if (model_stats_ != nullptr) model_stats_->RecordCacheMiss();
-      if (aggregate_stats_ != nullptr) aggregate_stats_->RecordCacheMiss();
+    if (stats_ != nullptr) {
+      if (result != nullptr) {
+        stats_->RecordCacheHit();
+      } else {
+        stats_->RecordCacheMiss();
+      }
     }
   }
   if (queue_compile) work_cv_.notify_one();
@@ -152,23 +145,16 @@ void ExecCache::CompileLoop() {
     lock.lock();
     if (fresh_tune) {
       tune_events_++;
-      if (model_stats_ != nullptr) model_stats_->RecordTuneEvent();
-      if (aggregate_stats_ != nullptr) aggregate_stats_->RecordTuneEvent();
+      if (stats_ != nullptr) stats_->RecordTuneEvent();
     }
     if (ok) {
       compiles_++;
       int evicted = PublishLocked(length, std::move(exec));
       // Stats under mu_, like Lookup: a set_stats detach (Server teardown)
       // cannot race an in-flight recording.
-      if (model_stats_ != nullptr) {
-        model_stats_->RecordVariantCompile();
-        for (int i = 0; i < evicted; ++i) model_stats_->RecordCacheEviction();
-      }
-      if (aggregate_stats_ != nullptr) {
-        aggregate_stats_->RecordVariantCompile();
-        for (int i = 0; i < evicted; ++i) {
-          aggregate_stats_->RecordCacheEviction();
-        }
+      if (stats_ != nullptr) {
+        stats_->RecordVariantCompile();
+        for (int i = 0; i < evicted; ++i) stats_->RecordCacheEviction();
       }
     } else {
       failed_compiles_++;

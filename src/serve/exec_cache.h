@@ -114,13 +114,11 @@ struct ExecCacheConfig {
 
 class ExecCache {
  public:
-  /// `compile` must be valid. `model_stats`/`aggregate_stats` may be null;
-  /// cache events are recorded into both (the per-model / fleet-wide split
-  /// every other serving metric uses). The pointed-to stats must outlive
-  /// the cache or be detached with set_stats(nullptr, nullptr) first.
+  /// `compile` must be valid. `stats` (the owning model's) may be null;
+  /// cache events are recorded there. It must outlive the cache or be
+  /// detached with set_stats(nullptr) first.
   ExecCache(CompileVariantFn compile, ExecCacheConfig config,
-            ServeStats* model_stats = nullptr,
-            ServeStats* aggregate_stats = nullptr);
+            ServeStats* stats = nullptr);
 
   /// Stops the compile thread; queued-but-uncompiled lengths are dropped.
   ~ExecCache();
@@ -140,9 +138,9 @@ class ExecCache {
   /// thread and LRU with variants their traffic cannot use. Thread-safe.
   std::shared_ptr<vm::Executable> Lookup(int64_t length, int64_t batch_size);
 
-  /// Re-points the stats sinks (used when a cache outlives the Server that
-  /// created its previous sinks). Thread-safe.
-  void set_stats(ServeStats* model_stats, ServeStats* aggregate_stats);
+  /// Re-points the stats sink (used when a cache outlives the Server that
+  /// created its previous sink). Thread-safe.
+  void set_stats(ServeStats* stats);
 
   /// Blocks until the compile queue is empty and the compile thread is
   /// idle — for tests and benchmarks that want a warm cache before
@@ -203,8 +201,7 @@ class ExecCache {
   int64_t compiles_ = 0;
   int64_t failed_compiles_ = 0;
   int64_t tune_events_ = 0;
-  ServeStats* model_stats_ = nullptr;
-  ServeStats* aggregate_stats_ = nullptr;
+  ServeStats* stats_ = nullptr;
   std::thread compiler_;
 };
 

@@ -81,15 +81,14 @@ struct Request {
 /// to (re)bind its VM to and the per-model stats sink — so the pool itself
 /// holds no model state and one pool can serve any number of models.
 struct Batch {
-  int bucket = -1;
   /// Index of the owning model within its server (-1 for standalone
   /// batches submitted directly to a VMPool).
   int model = -1;
   /// Executable the batch runs on. Must not be null when submitted to a
   /// VMPool; shared (read-only) with every worker serving this model.
   std::shared_ptr<vm::Executable> exec;
-  /// Per-model stats sink; may be null. Completions are recorded here in
-  /// addition to the pool's aggregate stats.
+  /// Per-model stats sink; may be null. The worker records the batch's
+  /// completions and packing here, and nowhere else.
   ServeStats* stats = nullptr;
   /// Stamped from the model's BatchPolicy: ask the worker to run this batch
   /// as one packed tensor invocation (src/batch/) when the executable

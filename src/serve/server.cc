@@ -13,92 +13,6 @@ Server::Server(ServeConfig config) : config_(std::move(config)) {
   tracer_ = std::make_shared<obs::Tracer>(config_.trace);
 }
 
-namespace {
-
-/// Builds the per-model metrics-plane instruments ServeStats mirrors its
-/// hot counters into (one series per model via the {model=...} label; the
-/// metric naming scheme is documented in docs/ARCHITECTURE.md).
-StatsMetricBindings MakeModelBindings(obs::MetricRegistry& registry,
-                                      const std::string& model) {
-  obs::LabelSet m = {{"model", model}};
-  auto outcome = [&](const char* outcome) {
-    return obs::LabelSet{{"model", model}, {"outcome", outcome}};
-  };
-  auto cache_event = [&](const char* event) {
-    return obs::LabelSet{{"model", model}, {"event", event}};
-  };
-  StatsMetricBindings b;
-  b.arrivals = registry.GetCounter("nimble_arrivals_total", m,
-                                   "Requests admitted into the queue");
-  const char* req_help = "Finished requests by outcome";
-  b.completed =
-      registry.GetCounter("nimble_requests_total", outcome("completed"),
-                          req_help);
-  b.failed = registry.GetCounter("nimble_requests_total", outcome("failed"),
-                                 req_help);
-  b.rejected = registry.GetCounter("nimble_requests_total",
-                                   outcome("rejected"), req_help);
-  b.packed_batches =
-      registry.GetCounter("nimble_packed_batches_total", m,
-                          "Batches run as one packed tensor invocation");
-  b.padded_elements = registry.GetCounter(
-      "nimble_padded_elements_total", m,
-      "Zero-padding elements in packed batch inputs (padding waste)");
-  b.packed_total_elements = registry.GetCounter(
-      "nimble_packed_elements_total", m, "Total packed batch input elements");
-  const char* cache_help = "Shape-bucket executable cache events";
-  b.cache_hits = registry.GetCounter("nimble_exec_cache_events_total",
-                                     cache_event("hit"), cache_help);
-  b.cache_misses = registry.GetCounter("nimble_exec_cache_events_total",
-                                       cache_event("miss"), cache_help);
-  b.cache_evictions = registry.GetCounter("nimble_exec_cache_events_total",
-                                          cache_event("evict"), cache_help);
-  b.variant_compiles = registry.GetCounter("nimble_exec_cache_events_total",
-                                           cache_event("compile"), cache_help);
-  b.tune_events = registry.GetCounter(
-      "nimble_tune_events_total", m,
-      "Fresh dense-config tuning measurements (tune-once-per-shape)");
-  b.adaptive_wait_us = registry.GetGauge(
-      "nimble_adaptive_wait_us", m,
-      "Effective adaptive max-wait applied by the scheduler");
-  b.splices = registry.GetCounter(
-      "nimble_splices_total", m,
-      "Requests spliced into the persistent batch (continuous batching)");
-  b.continuous_steps = registry.GetCounter(
-      "nimble_steps_total", m,
-      "Step-twin invocations over the persistent batch");
-  b.idle_row_steps = registry.GetCounter(
-      "nimble_idle_row_steps_total", m,
-      "Row-steps computed by slots holding no request (continuous waste)");
-  b.slot_occupancy = registry.GetGauge(
-      "nimble_slot_occupancy", m,
-      "Live slots of the persistent batch as of the latest step");
-  b.step_duration_us = registry.GetHistogram(
-      "nimble_step_duration_us", m, obs::Histogram::LatencyBoundsUs(),
-      "Wall-clock duration of one step-twin invocation, microseconds");
-  b.splice_wait_us = registry.GetHistogram(
-      "nimble_splice_wait_us", m, obs::Histogram::LatencyBoundsUs(),
-      "Queued-behind-splice wait (enqueue to splice), microseconds");
-  b.active_rows = registry.GetHistogram(
-      "nimble_active_rows", m, obs::Histogram::BatchSizeBounds(),
-      "Live rows per step of the persistent batch (occupancy)");
-  b.e2e_latency_us = registry.GetHistogram(
-      "nimble_e2e_latency_us", m, obs::Histogram::LatencyBoundsUs(),
-      "End-to-end request latency (admission to result), microseconds");
-  b.queue_wait_us = registry.GetHistogram(
-      "nimble_queue_wait_us", m, obs::Histogram::LatencyBoundsUs(),
-      "Queue-wait half of the latency split, microseconds");
-  b.exec_us = registry.GetHistogram(
-      "nimble_exec_us", m, obs::Histogram::LatencyBoundsUs(),
-      "Execution half of the latency split, microseconds");
-  b.batch_size = registry.GetHistogram(
-      "nimble_batch_size", m, obs::Histogram::BatchSizeBounds(),
-      "Requests per dispatched batch (occupancy)");
-  return b;
-}
-
-}  // namespace
-
 Server::Server(std::shared_ptr<vm::Executable> exec, ServeConfig config)
     : Server(std::move(config)) {
   ModelConfig model;
@@ -118,8 +32,8 @@ void Server::AddModel(const std::string& name, ModelConfig model) {
   NIMBLE_CHECK_GE(model.weight, 1) << "model '" << name << "': weight must be >= 1";
   NIMBLE_CHECK(model_index_.count(name) == 0)
       << "model '" << name << "' registered twice";
-  auto state = std::make_unique<ModelState>();
-  state->name = name;
+  // The model's stats are its series in the registry ({model="<name>"}).
+  auto state = std::make_unique<ModelState>(*metrics_, name);
   state->index = static_cast<int>(models_.size());
   state->exec = std::move(model.exec);
   state->function = std::move(model.function);
@@ -153,17 +67,12 @@ void Server::AddModel(const std::string& name, ModelConfig model) {
         << " but the policy dispatches batches of "
         << state->policy.max_batch_size;
     state->cache = std::move(model.exec_cache);
-    // Cache events flow into the same per-model/aggregate sinks as every
-    // other serving metric. Shutdown() detaches them again, so a shared
-    // cache may outlive this server.
-    state->cache->set_stats(&state->stats, &stats_);
+    // Cache events flow into the model's stats like every other serving
+    // metric. Shutdown() detaches them again, so a shared cache may outlive
+    // this server.
+    state->cache->set_stats(&state->stats);
   }
   state->queue = std::make_unique<RequestQueue>(model.queue_capacity);
-  // Metrics-plane mirror: per-model sharded instruments, bound before any
-  // recording can start (see StatsMetricBindings). Only the per-model
-  // stats bind — binding the aggregate too would double-count every event
-  // in the exposition.
-  state->stats.BindMetrics(MakeModelBindings(*metrics_, name));
   state->tracer = tracer_.get();
   model_index_[name] = state->index;
   models_.push_back(std::move(state));
@@ -188,7 +97,7 @@ void Server::Start() {
     if (model->policy.continuous) {
       runners_.push_back(std::make_unique<batch::StepRunner>(
           model->exec, model->function, model->policy.continuous_slots,
-          model->queue.get(), &model->stats, &stats_, tracer_.get(),
+          model->queue.get(), &model->stats, tracer_.get(),
           model->journal.get()));
       runner_models_.push_back(model->name);
       watched.push_back(WatchEntry{
@@ -202,10 +111,10 @@ void Server::Start() {
     }
   }
   if (!bucketed.empty()) {
-    pool_ = std::make_unique<VMPool>(config_.num_workers, &stats_,
+    pool_ = std::make_unique<VMPool>(config_.num_workers,
                                      config_.max_pending_batches);
-    scheduler_ = std::make_unique<BatchScheduler>(std::move(bucketed),
-                                                  pool_.get(), &stats_);
+    scheduler_ =
+        std::make_unique<BatchScheduler>(std::move(bucketed), pool_.get());
     scheduler_->Start();
   }
   for (auto& runner : runners_) runner->Start();
@@ -337,7 +246,6 @@ std::future<runtime::ObjectRef> Server::Submit(
   bool accepted = state.queue->Push(request);
   NIMBLE_CHECK(accepted) << "Submit on a shut-down server";
   state.stats.RecordEnqueue(enqueue_time);
-  stats_.RecordEnqueue(enqueue_time);
   return future;
 }
 
@@ -350,7 +258,6 @@ std::optional<std::future<runtime::ObjectRef>> Server::TrySubmit(
   // live bytes sit over the soft limit only deepens the overage.
   if (pressure_ != nullptr && pressure_->should_shed()) {
     state.stats.RecordRejected();
-    stats_.RecordRejected();
     return std::nullopt;
   }
   std::future<runtime::ObjectRef> future;
@@ -358,11 +265,9 @@ std::optional<std::future<runtime::ObjectRef>> Server::TrySubmit(
   auto enqueue_time = request.enqueue_time;
   if (!state.queue->TryPush(request)) {
     state.stats.RecordRejected();
-    stats_.RecordRejected();
     return std::nullopt;
   }
   state.stats.RecordEnqueue(enqueue_time);
-  stats_.RecordEnqueue(enqueue_time);
   return future;
 }
 
@@ -386,7 +291,6 @@ Server::AdmitResult Server::TrySubmitCallback(
   // queue-full status (the front end's 429 + Retry-After applies as is).
   if (pressure_ != nullptr && pressure_->should_shed()) {
     state.stats.RecordRejected();
-    stats_.RecordRejected();
     result.status = AdmitStatus::kQueueFull;
     result.queue_depth = state.queue->size();
     return result;
@@ -405,12 +309,10 @@ Server::AdmitResult Server::TrySubmitCallback(
         state.queue->closed() ? AdmitStatus::kClosed : AdmitStatus::kQueueFull;
     if (result.status == AdmitStatus::kQueueFull) {
       state.stats.RecordRejected();
-      stats_.RecordRejected();
-    }
+      }
     return result;
   }
   state.stats.RecordEnqueue(enqueue_time);
-  stats_.RecordEnqueue(enqueue_time);
   result.status = AdmitStatus::kAccepted;
   return result;
 }
@@ -438,20 +340,31 @@ bool Server::HasModel(const std::string& model) const {
   return model_index_.count(model) != 0;
 }
 
+StatsSnapshot Server::stats() const {
+  std::vector<const ServeStats*> parts;
+  for (const auto& model : models_) parts.push_back(&model->stats);
+  return ServeStats::SnapshotSum(parts);
+}
+
 StatsSnapshot Server::stats(const std::string& model) const {
   return Find(model).stats.Snapshot();
 }
 
 Server::ServerSnapshot Server::SnapshotAll() const {
-  // One pass, each ServeStats mutex taken exactly once (no per-name Find
-  // lookups, no second aggregate lock); see the consistency contract in
-  // stats.h for what this does and does not guarantee.
+  // One pass: each model's instruments are read once, and the aggregate is
+  // the sum of exactly those readings (see the consistency contract in
+  // stats.h).
   ServerSnapshot all;
+  std::vector<const ServeStats*> parts;
+  std::vector<StatsSnapshot> per_model;
+  for (const auto& model : models_) parts.push_back(&model->stats);
+  all.aggregate = ServeStats::SnapshotSum(parts, &per_model);
   all.models.reserve(models_.size());
-  for (const auto& model : models_) {
+  for (size_t i = 0; i < models_.size(); ++i) {
+    const ModelState* model = models_[i].get();
     ModelStatsView view;
     view.name = model->name;
-    view.stats = model->stats.Snapshot();
+    view.stats = std::move(per_model[i]);
     view.queue_depth = model->queue->size();
     view.queue_capacity = model->queue->capacity();
     if (model->cache != nullptr) {
@@ -461,7 +374,6 @@ Server::ServerSnapshot Server::SnapshotAll() const {
     all.queue_depth += view.queue_depth;
     all.models.push_back(std::move(view));
   }
-  all.aggregate = stats_.Snapshot();
   return all;
 }
 
@@ -525,7 +437,7 @@ void Server::Shutdown() {
   // so repeated Shutdowns (destructor after an explicit call) detach once.
   if (caches_detached_.exchange(true)) return;
   for (auto& model : models_) {
-    if (model->cache != nullptr) model->cache->set_stats(nullptr, nullptr);
+    if (model->cache != nullptr) model->cache->set_stats(nullptr);
   }
 }
 

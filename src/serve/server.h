@@ -90,7 +90,9 @@ struct ServeConfig {
   obs::TraceConfig trace;
   /// Metrics registry the server exports through (sharded counters,
   /// GET /metrics). Null: the server creates its own. Inject a shared one
-  /// to aggregate several servers into a single exposition.
+  /// to aggregate several servers into a single exposition; the models'
+  /// stats live in the registry, so servers sharing one and a model name
+  /// also share that model's /stats.
   std::shared_ptr<obs::MetricRegistry> metrics;
   /// Step-journal configuration for continuous models (src/obs/
   /// step_journal.h): one bounded StepRecord ring per continuous model,
@@ -216,17 +218,17 @@ class Server {
   std::vector<std::string> model_names() const;
   bool HasModel(const std::string& model) const;
 
-  /// Aggregate stats across every model (completions recorded once per
-  /// request). Thread-safe.
-  StatsSnapshot stats() const { return stats_.Snapshot(); }
+  /// Aggregate stats: the sum of every model's stats (each event is
+  /// recorded once, into its model). Thread-safe.
+  StatsSnapshot stats() const;
   /// Stats for one model. Throws for an unknown name. Thread-safe.
   StatsSnapshot stats(const std::string& model) const;
 
-  /// One consistent scrape of the whole server: every model's snapshot,
-  /// queue depth, and capacity, plus the aggregate — each ServeStats mutex
-  /// taken exactly once per call (see the consistency contract in
-  /// stats.h). This is what GET /stats serializes; prefer it over per-model
-  /// stats() calls when reading more than one view.
+  /// One scrape of the whole server: every model's snapshot, queue depth,
+  /// and capacity, plus the aggregate — the sum of those same per-model
+  /// readings (see the consistency contract in stats.h). This is what
+  /// GET /stats serializes; prefer it over per-model stats() calls when
+  /// reading more than one view.
   struct ModelStatsView {
     std::string name;
     StatsSnapshot stats;
@@ -304,7 +306,6 @@ class Server {
   ServeConfig config_;
   std::shared_ptr<obs::MetricRegistry> metrics_;  // never null
   std::shared_ptr<obs::Tracer> tracer_;           // never null
-  ServeStats stats_;  // aggregate across models
   /// unique_ptr for stable addresses: the scheduler and in-flight batches
   /// hold ModelState pointers. Registration order defines model indices.
   std::vector<std::unique_ptr<ModelState>> models_;

@@ -4,6 +4,8 @@
 #include <cmath>
 #include <sstream>
 
+#include "src/support/logging.h"
+
 namespace nimble {
 namespace serve {
 
@@ -44,14 +46,112 @@ std::string StatsSnapshot::ToString() const {
   return os.str();
 }
 
-void ServeStats::RecordEnqueue(Clock::time_point when) {
-  if (metrics_.arrivals != nullptr) metrics_.arrivals->Increment();
-  std::lock_guard<std::mutex> lock(mu_);
-  if (!started_) {
-    started_ = true;
-    first_enqueue_ = when;
+namespace {
+
+/// One counter series of a model: its family, an optional second label
+/// beside {model=...}, and the family's help text.
+struct CounterSeries {
+  const char* family;
+  const char* label;
+  const char* value;
+  const char* help;
+};
+
+constexpr const char* kRequestsHelp = "Finished requests by outcome";
+constexpr const char* kCacheHelp = "Shape-bucket executable cache events";
+
+// Indexed by ServeStats::CounterId.
+constexpr CounterSeries kCounterSeries[ServeStats::kNumCounters] = {
+    {"nimble_arrivals_total", nullptr, nullptr,
+     "Requests admitted into the queue"},
+    {"nimble_requests_total", "outcome", "completed", kRequestsHelp},
+    {"nimble_requests_total", "outcome", "failed", kRequestsHelp},
+    {"nimble_requests_total", "outcome", "rejected", kRequestsHelp},
+    {"nimble_packed_batches_total", nullptr, nullptr,
+     "Batches run as one packed tensor invocation"},
+    {"nimble_padded_elements_total", nullptr, nullptr,
+     "Zero-padding elements in packed batch inputs (padding waste)"},
+    {"nimble_packed_elements_total", nullptr, nullptr,
+     "Total packed batch input elements"},
+    {"nimble_variant_batches_total", nullptr, nullptr,
+     "Packed batches run on a length-specialized cached variant"},
+    {"nimble_variant_padded_elements_total", nullptr, nullptr,
+     "Zero-padding elements in variant batch inputs"},
+    {"nimble_variant_elements_total", nullptr, nullptr,
+     "Total variant batch input elements"},
+    {"nimble_exec_cache_events_total", "event", "hit", kCacheHelp},
+    {"nimble_exec_cache_events_total", "event", "miss", kCacheHelp},
+    {"nimble_exec_cache_events_total", "event", "evict", kCacheHelp},
+    {"nimble_exec_cache_events_total", "event", "compile", kCacheHelp},
+    {"nimble_tune_events_total", nullptr, nullptr,
+     "Fresh dense-config tuning measurements (tune-once-per-shape)"},
+    {"nimble_splices_total", nullptr, nullptr,
+     "Requests spliced into the persistent batch (continuous batching)"},
+    {"nimble_steps_total", nullptr, nullptr,
+     "Step-twin invocations over the persistent batch"},
+    {"nimble_idle_row_steps_total", nullptr, nullptr,
+     "Row-steps computed by slots holding no request (continuous waste)"},
+};
+
+struct HistogramSeries {
+  const char* family;
+  bool latency;  // LatencyBoundsUs; BatchSizeBounds otherwise
+  const char* help;
+};
+
+// Indexed by ServeStats::HistogramId.
+constexpr HistogramSeries kHistogramSeries[ServeStats::kNumHistograms] = {
+    {"nimble_e2e_latency_us", true,
+     "End-to-end request latency (admission to result), microseconds"},
+    {"nimble_queue_wait_us", true,
+     "Queue-wait half of the latency split, microseconds"},
+    {"nimble_exec_us", true,
+     "Execution half of the latency split, microseconds"},
+    {"nimble_batch_size", false, "Requests per dispatched batch (occupancy)"},
+    {"nimble_step_duration_us", true,
+     "Wall-clock duration of one step-twin invocation, microseconds"},
+    {"nimble_splice_wait_us", true,
+     "Queued-behind-splice wait (enqueue to splice), microseconds"},
+    {"nimble_active_rows", false,
+     "Live rows per step of the persistent batch (occupancy)"},
+};
+
+double Ratio(double num, double den) { return den > 0.0 ? num / den : 0.0; }
+
+}  // namespace
+
+ServeStats::ServeStats(obs::MetricRegistry& registry,
+                       const std::string& model) {
+  const obs::LabelSet m = {{"model", model}};
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    const CounterSeries& series = kCounterSeries[i];
+    obs::LabelSet labels = m;
+    if (series.label != nullptr) labels.emplace_back(series.label, series.value);
+    counters_[i] = registry.GetCounter(series.family, labels, series.help);
   }
-  arrivals_++;
+  for (size_t i = 0; i < kNumHistograms; ++i) {
+    const HistogramSeries& series = kHistogramSeries[i];
+    histograms_[i] = registry.GetHistogram(
+        series.family, m,
+        series.latency ? obs::Histogram::LatencyBoundsUs()
+                       : obs::Histogram::BatchSizeBounds(),
+        series.help);
+  }
+  adaptive_wait_us_ = registry.GetGauge(
+      "nimble_adaptive_wait_us", m,
+      "Effective adaptive max-wait applied by the scheduler");
+  slots_ = registry.GetGauge(
+      "nimble_slots", m,
+      "Rows of the persistent batch (0 when the model is not continuous)");
+  slot_occupancy_ = registry.GetGauge(
+      "nimble_slot_occupancy", m,
+      "Live slots of the persistent batch as of the latest step");
+}
+
+void ServeStats::RecordEnqueue(Clock::time_point when) {
+  counters_[kArrivals]->Increment();
+  std::lock_guard<std::mutex> lock(arrival_mu_);
+  if (first_enqueue_ == Clock::time_point{}) first_enqueue_ = when;
   if (last_arrival_ != Clock::time_point{} && when > last_arrival_) {
     double gap_us =
         std::chrono::duration<double, std::micro>(when - last_arrival_)
@@ -65,22 +165,8 @@ void ServeStats::RecordEnqueue(Clock::time_point when) {
 }
 
 double ServeStats::MeanInterArrivalMicros() const {
-  std::lock_guard<std::mutex> lock(mu_);
+  std::lock_guard<std::mutex> lock(arrival_mu_);
   return ewma_gap_us_;
-}
-
-void ServeStats::RecordAdaptiveWait(int64_t wait_micros) {
-  if (metrics_.adaptive_wait_us != nullptr) {
-    metrics_.adaptive_wait_us->Set(static_cast<double>(wait_micros));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  adaptive_wait_micros_ = wait_micros;
-}
-
-void ServeStats::RecordRejected() {
-  if (metrics_.rejected != nullptr) metrics_.rejected->Increment();
-  std::lock_guard<std::mutex> lock(mu_);
-  rejected_++;
 }
 
 const char* ServeStats::BatchHistLabel(size_t i) {
@@ -91,313 +177,178 @@ const char* ServeStats::BatchHistLabel(size_t i) {
   return kLabels[i];
 }
 
-size_t ServeStats::BatchHistBucket(size_t size) {
-  if (size <= 2) return size <= 1 ? 0 : 1;
-  if (size <= 4) return 2;
-  if (size <= 8) return 3;
-  if (size <= 16) return 4;
-  if (size <= 32) return 5;
-  return 6;
-}
-
-void ServeStats::RecordBatch(size_t size) {
-  if (metrics_.batch_size != nullptr) {
-    metrics_.batch_size->Observe(static_cast<double>(size));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  batches_++;
-  batched_requests_ += static_cast<int64_t>(size);
-  batch_size_hist_[BatchHistBucket(size)]++;
-}
-
-void ServeStats::RecordPackedBatch(int64_t padded, int64_t total, int bucket,
+void ServeStats::RecordPackedBatch(int64_t padded, int64_t total,
                                    bool on_variant) {
-  if (metrics_.packed_batches != nullptr) metrics_.packed_batches->Increment();
-  if (metrics_.padded_elements != nullptr) {
-    metrics_.padded_elements->Increment(padded);
-  }
-  if (metrics_.packed_total_elements != nullptr) {
-    metrics_.packed_total_elements->Increment(total);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  packed_batches_++;
-  padded_elements_ += padded;
-  packed_total_elements_ += total;
-  if (bucket >= 0) {
-    auto& [bucket_padded, bucket_total] = padding_by_bucket_[bucket];
-    bucket_padded += padded;
-    bucket_total += total;
-  }
+  counters_[kPackedBatches]->Increment();
+  counters_[kPaddedElements]->Increment(padded);
+  counters_[kPackedElements]->Increment(total);
   if (on_variant) {
-    variant_batches_++;
-    variant_padded_elements_ += padded;
-    variant_total_elements_ += total;
+    counters_[kVariantBatches]->Increment();
+    counters_[kVariantPaddedElements]->Increment(padded);
+    counters_[kVariantElements]->Increment(total);
   }
-}
-
-void ServeStats::RecordCacheHit() {
-  if (metrics_.cache_hits != nullptr) metrics_.cache_hits->Increment();
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_hits_++;
-}
-
-void ServeStats::RecordCacheMiss() {
-  if (metrics_.cache_misses != nullptr) metrics_.cache_misses->Increment();
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_misses_++;
-}
-
-void ServeStats::RecordCacheEviction() {
-  if (metrics_.cache_evictions != nullptr) metrics_.cache_evictions->Increment();
-  std::lock_guard<std::mutex> lock(mu_);
-  cache_evictions_++;
-}
-
-void ServeStats::RecordVariantCompile() {
-  if (metrics_.variant_compiles != nullptr) metrics_.variant_compiles->Increment();
-  std::lock_guard<std::mutex> lock(mu_);
-  variant_compiles_++;
-}
-
-void ServeStats::RecordTuneEvent() {
-  if (metrics_.tune_events != nullptr) metrics_.tune_events->Increment();
-  std::lock_guard<std::mutex> lock(mu_);
-  tune_events_++;
 }
 
 void ServeStats::RecordSplice(double wait_us) {
-  if (metrics_.splices != nullptr) metrics_.splices->Increment();
-  if (metrics_.splice_wait_us != nullptr) {
-    metrics_.splice_wait_us->Observe(wait_us);
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  splices_++;
-  splice_wait_sum_us_ += wait_us;
+  counters_[kSplices]->Increment();
+  histograms_[kSpliceWait]->Observe(wait_us);
 }
 
 void ServeStats::RecordStep(int64_t occupied, int64_t num_slots,
                             double duration_us) {
-  if (metrics_.continuous_steps != nullptr) {
-    metrics_.continuous_steps->Increment();
-  }
-  if (metrics_.idle_row_steps != nullptr && num_slots > occupied) {
-    metrics_.idle_row_steps->Increment(num_slots - occupied);
-  }
-  if (metrics_.slot_occupancy != nullptr) {
-    metrics_.slot_occupancy->Set(static_cast<double>(occupied));
-  }
-  if (metrics_.step_duration_us != nullptr) {
-    metrics_.step_duration_us->Observe(duration_us);
-  }
-  if (metrics_.active_rows != nullptr) {
-    metrics_.active_rows->Observe(static_cast<double>(occupied));
-  }
-  std::lock_guard<std::mutex> lock(mu_);
-  continuous_steps_++;
-  continuous_row_steps_ += num_slots;
-  continuous_idle_row_steps_ += num_slots - occupied;
-  slot_count_ = num_slots;
-  slot_occupancy_ = occupied;
-  step_duration_sum_us_ += duration_us;
+  counters_[kSteps]->Increment();
+  if (num_slots > occupied) counters_[kIdleRowSteps]->Increment(num_slots - occupied);
+  slots_->Set(static_cast<double>(num_slots));
+  slot_occupancy_->Set(static_cast<double>(occupied));
+  histograms_[kStepDuration]->Observe(duration_us);
+  histograms_[kActiveRows]->Observe(static_cast<double>(occupied));
 }
 
 void ServeStats::RecordCompletion(double latency_us, double queue_wait_us,
                                   double exec_us, bool ok,
                                   Clock::time_point when) {
-  if (metrics_.queue_wait_us != nullptr) {
-    metrics_.queue_wait_us->Observe(queue_wait_us);
+  counters_[ok ? kCompleted : kFailed]->Increment();
+  histograms_[kE2eLatency]->Observe(latency_us);
+  histograms_[kQueueWait]->Observe(queue_wait_us);
+  histograms_[kExec]->Observe(exec_us);
+  Clock::rep now = when.time_since_epoch().count();
+  Clock::rep last = last_completion_.load(std::memory_order_relaxed);
+  while (now > last && !last_completion_.compare_exchange_weak(
+                           last, now, std::memory_order_relaxed)) {
   }
-  if (metrics_.exec_us != nullptr) metrics_.exec_us->Observe(exec_us);
+}
+
+/// Raw values of one or more ServeStats' instruments, read once. Add()
+/// folds another reading in exactly; ToSnapshot() derives the ratios,
+/// means and percentiles.
+struct ServeStats::Reading {
+  std::array<int64_t, kNumCounters> counters{};
+  std::array<obs::HistogramSnapshot, kNumHistograms> histograms;
+  double arrival_rate_rps = 0.0;
+  int64_t adaptive_wait_us = 0;
+  int64_t slots = 0;
+  int64_t slot_occupancy = 0;
+  Clock::time_point first_enqueue{};  // {} when nothing arrived
+  Clock::time_point last_completion{};
+
+  void Add(const Reading& other);
+  StatsSnapshot ToSnapshot() const;
+};
+
+ServeStats::Reading ServeStats::Read() const {
+  Reading r;
+  for (size_t i = 0; i < kNumCounters; ++i) {
+    r.counters[i] = counters_[i]->Value();
+  }
+  for (size_t i = 0; i < kNumHistograms; ++i) {
+    r.histograms[i] = histograms_[i]->Snapshot();
+  }
+  r.adaptive_wait_us = std::llround(adaptive_wait_us_->Value());
+  r.slots = std::llround(slots_->Value());
+  r.slot_occupancy = std::llround(slot_occupancy_->Value());
   {
-    std::lock_guard<std::mutex> lock(mu_);
-    split_count_++;
-    queue_wait_sum_us_ += queue_wait_us;
-    if (queue_wait_us > queue_wait_max_us_) queue_wait_max_us_ = queue_wait_us;
-    exec_sum_us_ += exec_us;
+    std::lock_guard<std::mutex> lock(arrival_mu_);
+    r.first_enqueue = first_enqueue_;
+    if (ewma_gap_us_ > 0.0) r.arrival_rate_rps = 1e6 / ewma_gap_us_;
   }
-  RecordCompletion(latency_us, ok, when);
+  r.last_completion = Clock::time_point(
+      Clock::duration(last_completion_.load(std::memory_order_relaxed)));
+  return r;
 }
 
-void ServeStats::RecordCompletion(double latency_us, bool ok,
-                                  Clock::time_point when) {
-  if (ok) {
-    if (metrics_.completed != nullptr) metrics_.completed->Increment();
-  } else {
-    if (metrics_.failed != nullptr) metrics_.failed->Increment();
+void ServeStats::Reading::Add(const Reading& other) {
+  for (size_t i = 0; i < kNumCounters; ++i) counters[i] += other.counters[i];
+  for (size_t i = 0; i < kNumHistograms; ++i) {
+    histograms[i].Merge(other.histograms[i]);
   }
-  if (metrics_.e2e_latency_us != nullptr) {
-    metrics_.e2e_latency_us->Observe(latency_us);
+  arrival_rate_rps += other.arrival_rate_rps;
+  adaptive_wait_us = std::max(adaptive_wait_us, other.adaptive_wait_us);
+  slots += other.slots;
+  slot_occupancy += other.slot_occupancy;
+  if (other.first_enqueue != Clock::time_point{} &&
+      (first_enqueue == Clock::time_point{} ||
+       other.first_enqueue < first_enqueue)) {
+    first_enqueue = other.first_enqueue;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  latency_count_++;
-  latency_sum_us_ += latency_us;
-  if (latency_us > latency_max_us_) latency_max_us_ = latency_us;
-  // Vitter's Algorithm R: every completion ends up in the reservoir with
-  // probability capacity / count, so percentiles stay unbiased in O(1)
-  // memory no matter how long the server runs.
-  if (latency_reservoir_.size() < kReservoirCapacity) {
-    latency_reservoir_.push_back(latency_us);
-  } else {
-    uint64_t j = reservoir_rng_.Next() % static_cast<uint64_t>(latency_count_);
-    if (j < kReservoirCapacity) {
-      latency_reservoir_[static_cast<size_t>(j)] = latency_us;
-    }
-  }
-  if (ok) {
-    completed_++;
-  } else {
-    failed_++;
-  }
-  if (when > last_completion_) last_completion_ = when;
+  last_completion = std::max(last_completion, other.last_completion);
 }
 
-namespace {
-
-/// Nearest-rank percentile over an already-sorted sample: the smallest
-/// value with at least p% of the sample at or below it.
-double SortedPercentile(const std::vector<double>& sorted, double p) {
-  if (sorted.empty()) return 0.0;
-  if (p <= 0.0) return sorted.front();
-  if (p >= 100.0) return sorted.back();
-  size_t rank = static_cast<size_t>(
-      std::ceil(p / 100.0 * static_cast<double>(sorted.size())));
-  if (rank == 0) rank = 1;
-  return sorted[rank - 1];
+StatsSnapshot ServeStats::Reading::ToSnapshot() const {
+  const obs::HistogramSnapshot& e2e = histograms[kE2eLatency];
+  const obs::HistogramSnapshot& batch = histograms[kBatchSize];
+  StatsSnapshot s;
+  s.completed = counters[kCompleted];
+  s.failed = counters[kFailed];
+  s.rejected = counters[kRejected];
+  s.arrivals = counters[kArrivals];
+  s.arrival_rate_rps = arrival_rate_rps;
+  s.mean_interarrival_us = Ratio(1e6, arrival_rate_rps);
+  s.adaptive_wait_micros = adaptive_wait_us;
+  s.batches = batch.count;
+  s.mean_batch_size = batch.Mean();
+  // nimble_batch_size buckets are le 1, 2, 4, ..., 64, +Inf; the last two
+  // fold into "33+".
+  s.batch_size_hist.assign(ServeStats::kBatchHistBuckets, 0);
+  for (size_t i = 0; i < batch.counts.size(); ++i) {
+    s.batch_size_hist[std::min(i, ServeStats::kBatchHistBuckets - 1)] +=
+        batch.counts[i];
+  }
+  s.packed_batches = counters[kPackedBatches];
+  s.padded_elements = counters[kPaddedElements];
+  s.packed_total_elements = counters[kPackedElements];
+  s.padding_waste = Ratio(s.padded_elements, s.packed_total_elements);
+  s.variant_batches = counters[kVariantBatches];
+  s.variant_padded_elements = counters[kVariantPaddedElements];
+  s.variant_total_elements = counters[kVariantElements];
+  s.variant_padding_waste =
+      Ratio(s.variant_padded_elements, s.variant_total_elements);
+  s.cache_hits = counters[kCacheHits];
+  s.cache_misses = counters[kCacheMisses];
+  s.cache_evictions = counters[kCacheEvictions];
+  s.variant_compiles = counters[kVariantCompiles];
+  s.tune_events = counters[kTuneEvents];
+  s.cache_hit_rate = Ratio(s.cache_hits, s.cache_hits + s.cache_misses);
+  s.splices = counters[kSplices];
+  s.continuous_steps = counters[kSteps];
+  s.continuous_idle_row_steps = counters[kIdleRowSteps];
+  // Live row steps are the active-row histogram's (integer) sum.
+  int64_t live_row_steps = std::llround(histograms[kActiveRows].sum);
+  s.continuous_row_steps = live_row_steps + s.continuous_idle_row_steps;
+  s.slot_count = slots;
+  s.slot_occupancy = slot_occupancy;
+  s.mean_slot_occupancy = Ratio(live_row_steps, s.continuous_steps);
+  s.idle_slot_fraction =
+      Ratio(s.continuous_idle_row_steps, s.continuous_row_steps);
+  s.mean_step_duration_us = histograms[kStepDuration].Mean();
+  s.mean_splice_wait_us = histograms[kSpliceWait].Mean();
+  if (first_enqueue != Clock::time_point{} && last_completion > first_enqueue) {
+    s.elapsed_seconds =
+        std::chrono::duration<double>(last_completion - first_enqueue).count();
+    s.throughput_rps = Ratio(s.completed, s.elapsed_seconds);
+  }
+  s.mean_latency_us = e2e.Mean();
+  s.p50_latency_us = e2e.Quantile(50.0);
+  s.p95_latency_us = e2e.Quantile(95.0);
+  s.p99_latency_us = e2e.Quantile(99.0);
+  s.max_latency_us = e2e.max;
+  s.mean_queue_wait_us = histograms[kQueueWait].Mean();
+  s.max_queue_wait_us = histograms[kQueueWait].max;
+  s.mean_exec_us = histograms[kExec].Mean();
+  return s;
 }
 
-}  // namespace
+StatsSnapshot ServeStats::Snapshot() const { return Read().ToSnapshot(); }
 
-double ServeStats::Percentile(std::vector<double> sample, double p) {
-  std::sort(sample.begin(), sample.end());
-  return SortedPercentile(sample, p);
-}
-
-StatsSnapshot ServeStats::Snapshot() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  StatsSnapshot snap;
-  snap.completed = completed_;
-  snap.failed = failed_;
-  snap.rejected = rejected_;
-  snap.arrivals = arrivals_;
-  snap.mean_interarrival_us = ewma_gap_us_;
-  if (ewma_gap_us_ > 0.0) snap.arrival_rate_rps = 1e6 / ewma_gap_us_;
-  snap.adaptive_wait_micros = adaptive_wait_micros_;
-  if (split_count_ > 0) {
-    snap.mean_queue_wait_us =
-        queue_wait_sum_us_ / static_cast<double>(split_count_);
-    snap.max_queue_wait_us = queue_wait_max_us_;
-    snap.mean_exec_us = exec_sum_us_ / static_cast<double>(split_count_);
+StatsSnapshot ServeStats::SnapshotSum(
+    const std::vector<const ServeStats*>& parts,
+    std::vector<StatsSnapshot>* each) {
+  Reading total;
+  for (const ServeStats* part : parts) {
+    Reading reading = part->Read();
+    if (each != nullptr) each->push_back(reading.ToSnapshot());
+    total.Add(reading);
   }
-  snap.batches = batches_;
-  if (batches_ > 0) {
-    snap.mean_batch_size =
-        static_cast<double>(batched_requests_) / static_cast<double>(batches_);
-  }
-  snap.batch_size_hist.assign(batch_size_hist_.begin(),
-                              batch_size_hist_.end());
-  snap.packed_batches = packed_batches_;
-  snap.padded_elements = padded_elements_;
-  snap.packed_total_elements = packed_total_elements_;
-  if (packed_total_elements_ > 0) {
-    snap.padding_waste = static_cast<double>(padded_elements_) /
-                         static_cast<double>(packed_total_elements_);
-  }
-  snap.padding_by_bucket.reserve(padding_by_bucket_.size());
-  for (const auto& [bucket, counts] : padding_by_bucket_) {
-    snap.padding_by_bucket.push_back(
-        StatsSnapshot::BucketPadding{bucket, counts.first, counts.second});
-  }
-  snap.variant_batches = variant_batches_;
-  snap.variant_padded_elements = variant_padded_elements_;
-  snap.variant_total_elements = variant_total_elements_;
-  if (variant_total_elements_ > 0) {
-    snap.variant_padding_waste =
-        static_cast<double>(variant_padded_elements_) /
-        static_cast<double>(variant_total_elements_);
-  }
-  snap.cache_hits = cache_hits_;
-  snap.cache_misses = cache_misses_;
-  snap.cache_evictions = cache_evictions_;
-  snap.variant_compiles = variant_compiles_;
-  snap.tune_events = tune_events_;
-  snap.splices = splices_;
-  snap.continuous_steps = continuous_steps_;
-  snap.continuous_row_steps = continuous_row_steps_;
-  snap.continuous_idle_row_steps = continuous_idle_row_steps_;
-  snap.slot_count = slot_count_;
-  snap.slot_occupancy = slot_occupancy_;
-  if (continuous_steps_ > 0) {
-    snap.mean_slot_occupancy =
-        static_cast<double>(continuous_row_steps_ -
-                            continuous_idle_row_steps_) /
-        static_cast<double>(continuous_steps_);
-  }
-  if (continuous_row_steps_ > 0) {
-    snap.idle_slot_fraction =
-        static_cast<double>(continuous_idle_row_steps_) /
-        static_cast<double>(continuous_row_steps_);
-  }
-  if (continuous_steps_ > 0) {
-    snap.mean_step_duration_us =
-        step_duration_sum_us_ / static_cast<double>(continuous_steps_);
-  }
-  if (splices_ > 0) {
-    snap.mean_splice_wait_us =
-        splice_wait_sum_us_ / static_cast<double>(splices_);
-  }
-  if (cache_hits_ + cache_misses_ > 0) {
-    snap.cache_hit_rate = static_cast<double>(cache_hits_) /
-                          static_cast<double>(cache_hits_ + cache_misses_);
-  }
-  if (started_ && last_completion_ > first_enqueue_) {
-    snap.elapsed_seconds =
-        std::chrono::duration<double>(last_completion_ - first_enqueue_)
-            .count();
-    if (snap.elapsed_seconds > 0.0) {
-      snap.throughput_rps =
-          static_cast<double>(completed_) / snap.elapsed_seconds;
-    }
-  }
-  std::vector<double> reservoir = latency_reservoir_;
-  int64_t count = latency_count_;
-  double sum = latency_sum_us_, mx = latency_max_us_;
-  lock.unlock();
-  if (count > 0) {
-    snap.mean_latency_us = sum / static_cast<double>(count);
-    snap.max_latency_us = mx;
-    std::sort(reservoir.begin(), reservoir.end());
-    snap.p50_latency_us = SortedPercentile(reservoir, 50.0);
-    snap.p95_latency_us = SortedPercentile(reservoir, 95.0);
-    snap.p99_latency_us = SortedPercentile(reservoir, 99.0);
-  }
-  return snap;
-}
-
-void ServeStats::Reset() {
-  std::lock_guard<std::mutex> lock(mu_);
-  latency_reservoir_.clear();
-  latency_count_ = 0;
-  latency_sum_us_ = 0.0;
-  latency_max_us_ = 0.0;
-  split_count_ = 0;
-  queue_wait_sum_us_ = queue_wait_max_us_ = exec_sum_us_ = 0.0;
-  arrivals_ = 0;
-  last_arrival_ = Clock::time_point{};
-  ewma_gap_us_ = 0.0;
-  adaptive_wait_micros_ = 0;
-  completed_ = failed_ = rejected_ = batches_ = batched_requests_ = 0;
-  batch_size_hist_.fill(0);
-  packed_batches_ = padded_elements_ = packed_total_elements_ = 0;
-  padding_by_bucket_.clear();
-  variant_batches_ = variant_padded_elements_ = variant_total_elements_ = 0;
-  cache_hits_ = cache_misses_ = cache_evictions_ = variant_compiles_ = 0;
-  tune_events_ = 0;
-  splices_ = continuous_steps_ = continuous_row_steps_ = 0;
-  continuous_idle_row_steps_ = slot_count_ = slot_occupancy_ = 0;
-  step_duration_sum_us_ = splice_wait_sum_us_ = 0.0;
-  started_ = false;
-  first_enqueue_ = Clock::time_point{};
-  last_completion_ = Clock::time_point{};
+  return total.ToSnapshot();
 }
 
 }  // namespace serve

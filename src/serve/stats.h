@@ -5,45 +5,39 @@
 // folds everything into the numbers an operator dashboards: requests/sec,
 // p50/p95/p99 latency, mean batch occupancy.
 //
-// A multi-model Server keeps one ServeStats per model (inside ModelState)
-// plus one aggregate; every event is recorded into both, so per-model and
-// fleet-wide views stay consistent without post-hoc merging of percentiles.
-//
-// Thread-safe: recording takes a mutex (recording is a few nanoseconds of
-// bookkeeping next to a kernel invocation, so contention is negligible).
-// Memory is bounded: per-request latencies go into a fixed-size reservoir
-// sample (Vitter's Algorithm R, deterministic RNG), so a server can run
-// forever without the stats growing; mean/max are exact running values,
-// percentiles are estimates over the reservoir (exact until the reservoir
-// overflows).
-//
 // Consistency contract (the /stats and /metrics scrapes):
-//   - Snapshot() is internally consistent: every field of one snapshot was
-//     read under a single hold of this object's mutex (completed never
-//     exceeds arrivals within one snapshot, histogram sums match their
-//     totals, and so on).
-//   - DIFFERENT ServeStats objects (each model's vs the aggregate) are
-//     never locked together: a scrape that reads several must take each
-//     object's snapshot exactly once per pass — Server::SnapshotAll() does
-//     — and may still observe cross-object skew (a completion recorded
-//     into its model between the two snapshots). Per-object monotonicity
-//     always holds; cross-object equality is only eventual.
-//   - The sharded obs:: instruments mirrored via BindMetrics are updated
-//     OUTSIDE this mutex, so /metrics and /stats agree only eventually,
-//     but each is self-consistent per the rules above.
+//   - One store. A ServeStats is a bundle of pointers to its model's
+//     series in an obs::MetricRegistry ({model="<name>"}); every Record*
+//     is a lock-free update of those instruments and nothing else, so
+//     /stats (Snapshot) is a view of exactly the numbers /metrics renders.
+//     The only state kept beside the registry is the arrival side — the
+//     inter-arrival EWMA the adaptive batch policy steers from and the
+//     first-arrival instant — under its own small lock, and the
+//     last-completion instant (one atomic), which bound elapsed_seconds.
+//   - Exactness. Counters, means (histogram sum / count) and maxima
+//     (per-cell max) are exact. Percentiles are estimates from the latency
+//     histogram's log-linear buckets: never below the exact nearest-rank
+//     value and at most 12.5% above it.
+//   - The fleet view is a sum. A multi-model Server records each event
+//     once, into its model's ServeStats; Server::stats() and
+//     SnapshotAll().aggregate are SnapshotSum() over the models — counters
+//     and histogram buckets add exactly, so the aggregate equals the sum
+//     of the per-model snapshots taken in the same pass, field by field.
+//   - While recording continues, each field is monotone but fields are
+//     read one instrument at a time, so two fields of one snapshot may
+//     disagree by events in flight (e.g. completed momentarily ahead of
+//     arrivals). Once serving has drained, every identity holds exactly.
 #pragma once
 
 #include <array>
+#include <atomic>
 #include <cstdint>
-#include <map>
 #include <mutex>
 #include <string>
-#include <utility>
 #include <vector>
 
 #include "src/obs/metrics.h"
 #include "src/serve/request.h"
-#include "src/support/rng.h"
 
 namespace nimble {
 namespace serve {
@@ -73,21 +67,6 @@ struct StatsSnapshot {
   int64_t padded_elements = 0;
   int64_t packed_total_elements = 0;
   double padding_waste = 0.0;  // padded_elements / packed_total_elements
-  /// Padding accounting split by length bucket (the scheduler's bucket
-  /// index of each packed batch), so per-bucket waste is observable —
-  /// the executable cache's whole point is driving the cached buckets'
-  /// entries to zero.
-  struct BucketPadding {
-    int bucket = -1;
-    int64_t padded_elements = 0;
-    int64_t total_elements = 0;
-    double waste() const {
-      return total_elements > 0 ? static_cast<double>(padded_elements) /
-                                      static_cast<double>(total_elements)
-                                : 0.0;
-    }
-  };
-  std::vector<BucketPadding> padding_by_bucket;
   /// Executable-cache accounting (src/serve/exec_cache.h): packed batches
   /// that ran on a bucket-specialized variant, their padding (zero by
   /// construction — asserted by CI), and the cache's hit/miss/evict/compile
@@ -133,7 +112,7 @@ struct StatsSnapshot {
   /// End-to-end latency split: queue wait (admission -> a pool worker picks
   /// the batch up; includes scheduler bucketing and pool-queue time) vs
   /// execution (worker pickup -> promise fulfilled). The two means sum to
-  /// mean_latency_us for completions recorded with the split.
+  /// mean_latency_us.
   double mean_queue_wait_us = 0.0;
   double max_queue_wait_us = 0.0;
   double mean_exec_us = 0.0;
@@ -141,56 +120,19 @@ struct StatsSnapshot {
   std::string ToString() const;
 };
 
-/// Sharded metrics-plane instruments a ServeStats mirrors its hot counters
-/// into (src/obs/metrics.h). Every pointer may be null (that event is then
-/// not exported); the pointed-to instruments must outlive the ServeStats.
-/// Server::AddModel builds one per model, labeled {model="<name>"}, so the
-/// /metrics exposition gets per-model series without a second recording
-/// path through the pipeline.
-struct StatsMetricBindings {
-  obs::Counter* arrivals = nullptr;
-  obs::Counter* completed = nullptr;
-  obs::Counter* failed = nullptr;
-  obs::Counter* rejected = nullptr;
-  obs::Counter* packed_batches = nullptr;
-  obs::Counter* padded_elements = nullptr;
-  obs::Counter* packed_total_elements = nullptr;
-  obs::Counter* cache_hits = nullptr;
-  obs::Counter* cache_misses = nullptr;
-  obs::Counter* cache_evictions = nullptr;
-  obs::Counter* variant_compiles = nullptr;
-  obs::Counter* tune_events = nullptr;
-  obs::Counter* splices = nullptr;
-  obs::Counter* continuous_steps = nullptr;
-  obs::Counter* idle_row_steps = nullptr;
-  obs::Gauge* adaptive_wait_us = nullptr;
-  obs::Gauge* slot_occupancy = nullptr;
-  obs::Histogram* e2e_latency_us = nullptr;
-  obs::Histogram* queue_wait_us = nullptr;
-  obs::Histogram* exec_us = nullptr;
-  obs::Histogram* batch_size = nullptr;
-  obs::Histogram* step_duration_us = nullptr;
-  obs::Histogram* splice_wait_us = nullptr;
-  obs::Histogram* active_rows = nullptr;
-};
-
 class ServeStats {
  public:
-  /// Attaches metrics-plane instruments; each Record* below then also
-  /// updates the matching instrument, outside this object's mutex (the
-  /// instruments shard internally — see the consistency contract above).
-  /// Must be called before any recording starts (AddModel time): the
-  /// bindings are read unsynchronized on the hot path.
-  void BindMetrics(const StatsMetricBindings& bindings) {
-    metrics_ = bindings;
-  }
+  /// Registers `model`'s series in `registry` — or finds them, when the
+  /// registry already holds them (two servers sharing a registry and a
+  /// model name share its stats). `registry` must outlive this object.
+  ServeStats(obs::MetricRegistry& registry, const std::string& model);
 
   /// Called by the queue producer side; pins the start of the measurement
   /// window at the first enqueue and feeds the arrival-rate EWMA the
   /// adaptive batch policy reads.
   void RecordEnqueue(Clock::time_point when);
 
-  void RecordRejected();
+  void RecordRejected() { counters_[kRejected]->Increment(); }
 
   /// Smoothed inter-arrival gap in microseconds (EWMA over RecordEnqueue
   /// timestamps); 0 until two arrivals have been observed. Thread-safe.
@@ -198,25 +140,27 @@ class ServeStats {
 
   /// Gauge set by the scheduler's adaptive controller: the effective
   /// max_wait_micros currently applied to this model's buckets.
-  void RecordAdaptiveWait(int64_t wait_micros);
+  void RecordAdaptiveWait(int64_t wait_micros) {
+    adaptive_wait_us_->Set(static_cast<double>(wait_micros));
+  }
 
   /// One batch dispatched to the pool with `size` requests.
-  void RecordBatch(size_t size);
+  void RecordBatch(size_t size) {
+    histograms_[kBatchSize]->Observe(static_cast<double>(size));
+  }
 
   /// One batch executed as a single packed tensor invocation; `padded` of
-  /// the `total` packed input elements were zero padding. `bucket` is the
-  /// scheduler's length-bucket index (-1 = unknown, e.g. standalone pool
-  /// use), `on_variant` whether the batch ran on a bucket-specialized
-  /// executable variant.
-  void RecordPackedBatch(int64_t padded, int64_t total, int bucket = -1,
+  /// the `total` packed input elements were zero padding. `on_variant`:
+  /// the batch ran on a bucket-specialized executable variant.
+  void RecordPackedBatch(int64_t padded, int64_t total,
                          bool on_variant = false);
 
-  // Executable-cache events (recorded by serve::ExecCache / the scheduler).
-  void RecordCacheHit();
-  void RecordCacheMiss();
-  void RecordCacheEviction();
-  void RecordVariantCompile();
-  void RecordTuneEvent();
+  // Executable-cache events (recorded by serve::ExecCache).
+  void RecordCacheHit() { counters_[kCacheHits]->Increment(); }
+  void RecordCacheMiss() { counters_[kCacheMisses]->Increment(); }
+  void RecordCacheEviction() { counters_[kCacheEvictions]->Increment(); }
+  void RecordVariantCompile() { counters_[kVariantCompiles]->Increment(); }
+  void RecordTuneEvent() { counters_[kTuneEvents]->Increment(); }
 
   // Continuous-batching events (recorded by batch::StepRunner).
   /// One request spliced into a slot of the persistent batch. `wait_us` is
@@ -224,90 +168,85 @@ class ServeStats {
   void RecordSplice(double wait_us = 0.0);
   /// One step-function invocation over `num_slots` slots of which
   /// `occupied` held live requests, taking `duration_us` wall-clock
-  /// (gather + invoke + retire scan; 0 when unmeasured). Also refreshes
-  /// the occupancy gauge and the step-level histograms.
+  /// (gather + invoke + retire scan; 0 when unmeasured).
   void RecordStep(int64_t occupied, int64_t num_slots,
                   double duration_us = 0.0);
 
-  /// One request finished (promise fulfilled). `latency_us` is end-to-end:
-  /// enqueue to result ready. `ok` is false when the VM threw.
-  void RecordCompletion(double latency_us, bool ok, Clock::time_point when);
-
-  /// Completion with the latency split: `queue_wait_us` (admission ->
-  /// worker pickup) + `exec_us` (pickup -> fulfilled) == `latency_us`.
+  /// One request finished (promise fulfilled): `latency_us` end to end,
+  /// split into `queue_wait_us` (admission -> worker pickup) + `exec_us`
+  /// (pickup -> fulfilled). `ok` is false when the VM threw.
   void RecordCompletion(double latency_us, double queue_wait_us,
                         double exec_us, bool ok, Clock::time_point when);
 
-  /// Consistent copy of every counter (taken under the mutex); safe to call
-  /// at any time from any thread, including while serving.
+  /// Reads every instrument once; safe at any time from any thread.
   StatsSnapshot Snapshot() const;
-  /// Zeroes every counter. Thread-safe, but concurrent recorders make the
-  /// result ill-defined — reset between runs, not mid-run.
-  void Reset();
 
-  /// Nearest-rank percentile of an unsorted sample (p in [0, 100]); exposed
-  /// for tests. Returns 0 on an empty sample.
-  static double Percentile(std::vector<double> sample, double p);
+  /// The sum of `parts`, each read exactly once: counters, histogram
+  /// buckets, arrival rates, slots and occupied slots add; maxima, the
+  /// adaptive wait and the measurement window take the widest. When `each`
+  /// is non-null it receives every part's own snapshot from the same
+  /// reading, so the sum matches them field for field.
+  static StatsSnapshot SnapshotSum(const std::vector<const ServeStats*>& parts,
+                                   std::vector<StatsSnapshot>* each = nullptr);
 
-  /// Latency reservoir capacity; percentiles are exact below this many
-  /// completions and sampled estimates beyond it.
-  static constexpr size_t kReservoirCapacity = 4096;
-
-  /// Batch-size histogram buckets: 1, 2, 3-4, 5-8, 9-16, 17-32, 33+.
+  /// Batch-size histogram buckets: 1, 2, 3-4, 5-8, 9-16, 17-32, 33+ (the
+  /// power-of-two nimble_batch_size buckets, with 33-64 and +Inf folded).
   static constexpr size_t kBatchHistBuckets = 7;
   /// Label of histogram bucket `i` (e.g. "3-4"); for dashboards/tests.
   static const char* BatchHistLabel(size_t i);
-  /// Bucket index for a batch of `size` requests.
-  static size_t BatchHistBucket(size_t size);
+
+  /// Instruments, indexed for the registration table and the reading in
+  /// stats.cc.
+  enum CounterId : size_t {
+    kArrivals,
+    kCompleted,
+    kFailed,
+    kRejected,
+    kPackedBatches,
+    kPaddedElements,
+    kPackedElements,
+    kVariantBatches,
+    kVariantPaddedElements,
+    kVariantElements,
+    kCacheHits,
+    kCacheMisses,
+    kCacheEvictions,
+    kVariantCompiles,
+    kTuneEvents,
+    kSplices,
+    kSteps,
+    kIdleRowSteps,
+    kNumCounters
+  };
+  enum HistogramId : size_t {
+    kE2eLatency,
+    kQueueWait,
+    kExec,
+    kBatchSize,
+    kStepDuration,
+    kSpliceWait,
+    kActiveRows,
+    kNumHistograms
+  };
 
  private:
-  /// Metrics-plane mirror; written once before recording starts, read
-  /// lock-free by every recorder.
-  StatsMetricBindings metrics_;
+  struct Reading;
+  Reading Read() const;
 
-  mutable std::mutex mu_;
-  std::map<int, std::pair<int64_t, int64_t>> padding_by_bucket_;
-  std::vector<double> latency_reservoir_;
-  int64_t latency_count_ = 0;
-  double latency_sum_us_ = 0.0;
-  double latency_max_us_ = 0.0;
-  int64_t split_count_ = 0;  // completions recorded with the split
-  double queue_wait_sum_us_ = 0.0;
-  double queue_wait_max_us_ = 0.0;
-  double exec_sum_us_ = 0.0;
-  int64_t arrivals_ = 0;
+  std::array<obs::Counter*, kNumCounters> counters_{};
+  std::array<obs::Histogram*, kNumHistograms> histograms_{};
+  obs::Gauge* adaptive_wait_us_ = nullptr;
+  obs::Gauge* slots_ = nullptr;
+  obs::Gauge* slot_occupancy_ = nullptr;
+
+  /// Arrival side: a control input for the adaptive policy, not an
+  /// exported statistic, so it keeps its own lock.
+  mutable std::mutex arrival_mu_;
+  Clock::time_point first_enqueue_{};  // {} until the first arrival
   Clock::time_point last_arrival_{};
   double ewma_gap_us_ = 0.0;
-  int64_t adaptive_wait_micros_ = 0;
-  support::Rng reservoir_rng_{0x5e17e5};
-  int64_t completed_ = 0;
-  int64_t failed_ = 0;
-  int64_t rejected_ = 0;
-  int64_t batches_ = 0;
-  int64_t batched_requests_ = 0;
-  std::array<int64_t, kBatchHistBuckets> batch_size_hist_{};
-  int64_t packed_batches_ = 0;
-  int64_t padded_elements_ = 0;
-  int64_t packed_total_elements_ = 0;
-  int64_t variant_batches_ = 0;
-  int64_t variant_padded_elements_ = 0;
-  int64_t variant_total_elements_ = 0;
-  int64_t cache_hits_ = 0;
-  int64_t cache_misses_ = 0;
-  int64_t cache_evictions_ = 0;
-  int64_t variant_compiles_ = 0;
-  int64_t tune_events_ = 0;
-  int64_t splices_ = 0;
-  int64_t continuous_steps_ = 0;
-  int64_t continuous_row_steps_ = 0;
-  int64_t continuous_idle_row_steps_ = 0;
-  int64_t slot_count_ = 0;
-  int64_t slot_occupancy_ = 0;
-  double step_duration_sum_us_ = 0.0;
-  double splice_wait_sum_us_ = 0.0;
-  bool started_ = false;
-  Clock::time_point first_enqueue_{};
-  Clock::time_point last_completion_{};
+  /// Latest completion instant (Clock ticks), raised by a relaxed CAS.
+  std::atomic<Clock::rep> last_completion_{0};
 };
 
 }  // namespace serve

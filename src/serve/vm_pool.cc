@@ -60,9 +60,8 @@ void ReleaseWorkerAllocator(runtime::PoolingAllocator* allocator) {
   WorkerAllocatorRegistry::Global().Release(allocator);
 }
 
-VMPool::VMPool(int num_workers, ServeStats* stats, size_t max_pending_batches)
-    : stats_(stats),
-      batches_(PendingBatchCap(num_workers, max_pending_batches)) {
+VMPool::VMPool(int num_workers, size_t max_pending_batches)
+    : batches_(PendingBatchCap(num_workers, max_pending_batches)) {
   NIMBLE_CHECK_GE(num_workers, 1);
   // Construct every VM on this thread before any worker starts: the VM
   // constructor populates the kernel/op registries, which become read-only
@@ -139,9 +138,6 @@ void VMPool::WorkerLoop(Worker& worker) {
       request.dispatch_time = dispatch_time;
       if (request.trace.enabled) request.trace.dispatch = dispatch_time;
     }
-    // Per-model stats first, then the pool-wide aggregate (they are
-    // distinct objects; a Server wires the batch to its model's stats and
-    // the pool to the aggregate).
     auto on_done = [&](const Request& request, bool ok) {
       worker.requests_executed.fetch_add(1, std::memory_order_relaxed);
       auto now = Clock::now();
@@ -158,25 +154,14 @@ void VMPool::WorkerLoop(Worker& worker) {
         batch->stats->RecordCompletion(latency_us, queue_wait_us, exec_us, ok,
                                        now);
       }
-      if (stats_ != nullptr && stats_ != batch->stats) {
-        stats_->RecordCompletion(latency_us, queue_wait_us, exec_us, ok, now);
-      }
     };
     // Packed [Lmax, B, D] execution when the batch asks for it and its
     // executable can; the per-request Invoke loop otherwise (src/batch/).
     batch::BatchRunResult run = batch::RunBatch(
         *worker.vm, *batch, batch->tensor_batching, on_done);
-    if (run.packed) {
-      bool on_variant = batch->exec->variant.is_variant();
-      if (batch->stats != nullptr) {
-        batch->stats->RecordPackedBatch(run.padded_elements,
-                                        run.total_elements, batch->bucket,
-                                        on_variant);
-      }
-      if (stats_ != nullptr && stats_ != batch->stats) {
-        stats_->RecordPackedBatch(run.padded_elements, run.total_elements,
-                                  batch->bucket, on_variant);
-      }
+    if (run.packed && batch->stats != nullptr) {
+      batch->stats->RecordPackedBatch(run.padded_elements, run.total_elements,
+                                      batch->exec->variant.is_variant());
     }
     // Recycle the VM: drops any frames retained by a throwing Invoke and
     // clears the profile, keeping the worker's memory footprint flat.

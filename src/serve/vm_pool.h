@@ -57,15 +57,13 @@ void ReleaseWorkerAllocator(runtime::PoolingAllocator* allocator);
 
 class VMPool {
  public:
-  /// Builds `num_workers` unbound VMs and starts their threads. `stats` may
-  /// be null; when set, every completion (across all models) is recorded
-  /// there in addition to each batch's own per-model sink.
+  /// Builds `num_workers` unbound VMs and starts their threads. Each batch
+  /// carries its own stats sink (Batch::stats); the pool keeps none.
   /// `max_pending_batches` bounds the internal batch queue (default 2x
   /// workers) so that saturation propagates backpressure upstream — a
   /// blocked Submit stops the scheduler, the per-model queues fill, and
   /// admission starts shedding — instead of buffering without limit.
-  explicit VMPool(int num_workers, ServeStats* stats = nullptr,
-                  size_t max_pending_batches = 0);
+  explicit VMPool(int num_workers, size_t max_pending_batches = 0);
 
   /// Closes and joins. Pending batches are drained first.
   ~VMPool();
@@ -114,7 +112,6 @@ class VMPool {
 
   void WorkerLoop(Worker& worker);
 
-  ServeStats* stats_;
   Channel<Batch> batches_;
   std::vector<std::unique_ptr<Worker>> workers_;
   bool joined_ = false;

@@ -11,23 +11,15 @@ namespace vm {
 namespace {
 
 constexpr uint32_t kMagic = 0x4e4d424cu;  // "NMBL"
-// v2: adds the per-executable dense dispatch configuration (num_variants).
-// v3: adds the batched-entry specs (tensor batching, src/vm/batch_spec.h);
-//     v2 files still load (they simply carry no batched entries).
-// v4: dispatch configuration becomes a residue mask (bucket-tuned variant
-//     tables), batched specs gain a layout kind, and the trailer carries
-//     the shape-bucket variant metadata (Executable::VariantInfo). v2/v3
-//     files still load: their stride configuration maps onto a mask, they
-//     use the time-major layout, and they are generic (non-variant)
-//     executables.
-// v5: batched specs gain the optional continuous-batching step twin
-//     (BatchedEntrySpec::step_function + result_state). v2-v4 files still
-//     load: their
-//     specs simply carry no step function, so the continuous serving path
-//     rejects them at registration exactly like a builder that never
-//     emitted one.
-// v6 appends the dense cache-blocking config (block_n, block_k, tuned flag)
-// after the variant trailer; pre-v6 executables load with the defaults.
+// Layout (version 6), every field little-endian as written by WritePod:
+//   magic, version, dense dispatch residue mask (uint32);
+//   constants, packed-function entries and VM functions, each
+//     length-prefixed;
+//   batched-entry specs (src/vm/batch_spec.h): function names, step twin
+//     and result state, layout kind, argument indices and widths;
+//   the shape-bucket variant trailer (Executable::VariantInfo);
+//   the dense cache-blocking config (block_n, block_k, tuned flag).
+// Load accepts exactly this version; any other is rejected.
 constexpr uint32_t kVersion = 6;
 
 // ---- primitive writers/readers ---------------------------------------------
@@ -245,14 +237,11 @@ void Executable::Save(std::ostream& os) const {
 std::shared_ptr<Executable> Executable::Load(std::istream& is) {
   NIMBLE_CHECK_EQ(ReadPod<uint32_t>(is), kMagic) << "not a Nimble executable";
   uint32_t version = ReadPod<uint32_t>(is);
-  NIMBLE_CHECK(version >= 2 && version <= kVersion)
-      << "unsupported executable version " << version;
+  NIMBLE_CHECK(version == kVersion)
+      << "unsupported executable version " << version << " (this build reads "
+      << kVersion << ")";
   auto exec = std::make_shared<Executable>();
-  if (version >= 4) {
-    exec->dispatch_table.ConfigureResidues(ReadPod<uint32_t>(is));
-  } else {
-    exec->dispatch_table.Configure(ReadPod<int32_t>(is));
-  }
+  exec->dispatch_table.ConfigureResidues(ReadPod<uint32_t>(is));
   uint64_t num_consts = ReadPod<uint64_t>(is);
   for (uint64_t i = 0; i < num_consts; ++i) {
     exec->constants.push_back(ReadNDArray(is));
@@ -281,38 +270,27 @@ std::shared_ptr<Executable> Executable::Load(std::istream& is) {
     exec->function_index[fn.name] = static_cast<int32_t>(exec->functions.size());
     exec->functions.push_back(std::move(fn));
   }
-  if (version >= 3) {
-    uint64_t num_batched = ReadPod<uint64_t>(is);
-    for (uint64_t i = 0; i < num_batched; ++i) {
-      BatchedEntrySpec spec;
-      spec.function = ReadString(is);
-      spec.batched_function = ReadString(is);
-      if (version >= 4) {
-        spec.exact_batched_function = ReadString(is);
-        if (version >= 5) {
-          spec.step_function = ReadString(is);
-          spec.result_state = ReadPod<int32_t>(is);
-        }
-        spec.layout =
-            static_cast<BatchedEntrySpec::Layout>(ReadPod<int32_t>(is));
-      }
-      spec.seq_arg = ReadPod<int32_t>(is);
-      spec.len_arg = ReadPod<int32_t>(is);
-      spec.feature_width = ReadPod<int32_t>(is);
-      spec.state_width = ReadPod<int32_t>(is);
-      spec.num_state_args = ReadPod<int32_t>(is);
-      exec->batched.push_back(std::move(spec));
-    }
+  uint64_t num_batched = ReadPod<uint64_t>(is);
+  for (uint64_t i = 0; i < num_batched; ++i) {
+    BatchedEntrySpec spec;
+    spec.function = ReadString(is);
+    spec.batched_function = ReadString(is);
+    spec.exact_batched_function = ReadString(is);
+    spec.step_function = ReadString(is);
+    spec.result_state = ReadPod<int32_t>(is);
+    spec.layout = static_cast<BatchedEntrySpec::Layout>(ReadPod<int32_t>(is));
+    spec.seq_arg = ReadPod<int32_t>(is);
+    spec.len_arg = ReadPod<int32_t>(is);
+    spec.feature_width = ReadPod<int32_t>(is);
+    spec.state_width = ReadPod<int32_t>(is);
+    spec.num_state_args = ReadPod<int32_t>(is);
+    exec->batched.push_back(std::move(spec));
   }
-  if (version >= 4) {
-    exec->variant.specialized_len = ReadPod<int64_t>(is);
-    exec->variant.specialized_batch = ReadPod<int64_t>(is);
-  }
-  if (version >= 6) {
-    exec->dense_config.block_n = ReadPod<int64_t>(is);
-    exec->dense_config.block_k = ReadPod<int64_t>(is);
-    exec->dense_config_tuned = ReadPod<uint8_t>(is) != 0;
-  }
+  exec->variant.specialized_len = ReadPod<int64_t>(is);
+  exec->variant.specialized_batch = ReadPod<int64_t>(is);
+  exec->dense_config.block_n = ReadPod<int64_t>(is);
+  exec->dense_config.block_k = ReadPod<int64_t>(is);
+  exec->dense_config_tuned = ReadPod<uint8_t>(is) != 0;
   return exec;
 }
 

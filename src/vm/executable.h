@@ -100,8 +100,8 @@ class Executable {
   /// cache's background compile thread tunes a variant's exact baked shape
   /// and stamps the measured-best config before the variant is published
   /// (`dense_config_tuned` then flips to true; false = transferred/default
-  /// config). Serialized since format v6; pre-v6 executables load with the
-  /// defaults. Immutable once the executable is visible to any VM.
+  /// config). Serialized with the executable. Immutable once the
+  /// executable is visible to any VM.
   codegen::DenseConfig dense_config;
   bool dense_config_tuned = false;
 

@@ -6,8 +6,10 @@
 // with six ordered spans and a folded VM profile.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <future>
 #include <set>
 #include <string>
@@ -26,6 +28,7 @@
 #include "src/obs/trace.h"
 #include "src/runtime/allocator.h"
 #include "src/serve/server.h"
+#include "src/support/rng.h"
 #include "src/vm/vm.h"
 
 namespace nimble {
@@ -60,7 +63,7 @@ TEST(Metrics, GaugeIsLastWriterWins) {
 }
 
 TEST(Metrics, HistogramCumulativeBucketsMonotoneAndConsistent) {
-  obs::Histogram hist(obs::Histogram::ExponentialBounds(1.0, 2.0, 8));
+  obs::Histogram hist(obs::Histogram::LogLinearBounds(1, 7));
   constexpr int kThreads = 4;
   constexpr int kPerThread = 2000;
   std::vector<std::thread> threads;
@@ -94,6 +97,111 @@ TEST(Metrics, HistogramBucketBoundsAreInclusive) {
   EXPECT_EQ(buckets[1], 2);
   EXPECT_EQ(buckets[2], 2);
   EXPECT_EQ(buckets[3], 3);
+}
+
+TEST(Metrics, NearestRankPercentiles) {
+  std::vector<double> sample;
+  for (int i = 1; i <= 100; ++i) sample.push_back(static_cast<double>(i));
+  EXPECT_EQ(obs::NearestRankPercentile(sample, 50.0), 50.0);
+  EXPECT_EQ(obs::NearestRankPercentile(sample, 95.0), 95.0);
+  EXPECT_EQ(obs::NearestRankPercentile(sample, 99.0), 99.0);
+  EXPECT_EQ(obs::NearestRankPercentile(sample, 0.0), 1.0);
+  EXPECT_EQ(obs::NearestRankPercentile(sample, 100.0), 100.0);
+  EXPECT_EQ(obs::NearestRankPercentile({42.0}, 99.0), 42.0);
+  EXPECT_EQ(obs::NearestRankPercentile({}, 50.0), 0.0);
+  // Unsorted input is sorted internally.
+  EXPECT_EQ(obs::NearestRankPercentile({3.0, 1.0, 2.0}, 50.0), 2.0);
+}
+
+TEST(Metrics, LogLinearLayoutFindsBucketsByExponent) {
+  std::vector<double> bounds = obs::Histogram::LatencyBoundsUs();
+  ASSERT_EQ(bounds.size(), 1u + 8u * 26u);
+  EXPECT_EQ(bounds.front(), 1.0);
+  EXPECT_EQ(bounds.back(), 67108864.0) << "2^26 us, ~67 s";
+  EXPECT_EQ(obs::Histogram::BatchSizeBounds(),
+            (std::vector<double>{1, 2, 4, 8, 16, 32, 64}));
+  EXPECT_THROW(obs::Histogram({1.0, 3.0}), Error) << "not a layout";
+  // The exponent-computed bucket is the first bound >= v, exactly as a
+  // search would place it: on every bound, just above and just below it.
+  obs::Histogram hist(bounds);
+  std::vector<double> probes = {0.0, 0.5, 1e300};
+  for (double b : bounds) {
+    probes.push_back(b);
+    probes.push_back(std::nextafter(b, 0.0));
+    probes.push_back(std::nextafter(b, 1e300));
+  }
+  for (double v : probes) hist.Observe(v);
+  std::vector<int64_t> want(bounds.size() + 1, 0);
+  for (double v : probes) {
+    want[static_cast<size_t>(std::lower_bound(bounds.begin(), bounds.end(), v) -
+                             bounds.begin())]++;
+  }
+  for (size_t i = 1; i < want.size(); ++i) want[i] += want[i - 1];
+  EXPECT_EQ(hist.CumulativeBuckets(), want);
+}
+
+TEST(Metrics, HistogramQuantileWithinOneBucketOfNearestRank) {
+  // Log-uniform latencies from 1 us to 10 s, seeded.
+  support::Rng rng(2026);
+  std::vector<double> sample;
+  obs::Histogram hist(obs::Histogram::LatencyBoundsUs());
+  for (int i = 0; i < 20000; ++i) {
+    double v = std::pow(10.0, rng.Uniform(0.0, 7.0));
+    sample.push_back(v);
+    hist.Observe(v);
+  }
+  for (double p : {50.0, 95.0, 99.0}) {
+    double exact = obs::NearestRankPercentile(sample, p);
+    double estimate = hist.Quantile(p);
+    EXPECT_GE(estimate, exact) << "p" << p;
+    EXPECT_LE(estimate, exact * 1.125) << "p" << p;
+  }
+  double max = *std::max_element(sample.begin(), sample.end());
+  EXPECT_EQ(hist.Snapshot().max, max) << "the max is exact";
+  EXPECT_EQ(hist.Quantile(100.0), max);
+  EXPECT_EQ(hist.Count(), 20000);
+}
+
+TEST(Metrics, MergedHistogramsEqualOneFedBothStreams) {
+  std::vector<double> bounds = obs::Histogram::LatencyBoundsUs();
+  obs::Histogram a(bounds), b(bounds), both(bounds);
+  support::Rng rng(7);
+  for (int i = 0; i < 5000; ++i) {
+    // Integer-valued samples keep the sums exact in any order.
+    double v = std::floor(std::pow(10.0, rng.Uniform(0.0, 6.0)));
+    (i % 3 == 0 ? a : b).Observe(v);
+    both.Observe(v);
+  }
+  obs::HistogramSnapshot merged;  // empty: adopts the first layout
+  merged.Merge(a.Snapshot());
+  merged.Merge(b.Snapshot());
+  obs::HistogramSnapshot want = both.Snapshot();
+  EXPECT_EQ(merged.counts, want.counts);
+  EXPECT_EQ(merged.count, want.count);
+  EXPECT_EQ(merged.sum, want.sum);
+  EXPECT_EQ(merged.max, want.max);
+  for (double p : {50.0, 95.0, 99.0}) {
+    EXPECT_EQ(merged.Quantile(p), want.Quantile(p)) << "p" << p;
+  }
+  obs::HistogramSnapshot other_layout =
+      obs::Histogram(obs::Histogram::BatchSizeBounds()).Snapshot();
+  EXPECT_THROW(merged.Merge(other_layout), Error);
+}
+
+TEST(Metrics, HistogramMaxIsExactAcrossThreads) {
+  obs::Histogram hist(obs::Histogram::LatencyBoundsUs());
+  constexpr int kThreads = 4;
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&hist, t] {
+      for (int i = 0; i < 1000; ++i) hist.Observe(t * 1000.0 + i + 0.25);
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(hist.Snapshot().max, (kThreads - 1) * 1000.0 + 999.25);
+  EXPECT_EQ(obs::Histogram(obs::Histogram::LatencyBoundsUs()).Snapshot().max,
+            0.0)
+      << "empty histogram";
 }
 
 // ---- registry -----------------------------------------------------------------

@@ -116,22 +116,6 @@ TEST(RequestQueue, PopUntilTimesOut) {
   EXPECT_FALSE(queue.closed());
 }
 
-// ---- percentiles --------------------------------------------------------------
-
-TEST(ServeStats, NearestRankPercentiles) {
-  std::vector<double> sample;
-  for (int i = 1; i <= 100; ++i) sample.push_back(static_cast<double>(i));
-  EXPECT_EQ(serve::ServeStats::Percentile(sample, 50.0), 50.0);
-  EXPECT_EQ(serve::ServeStats::Percentile(sample, 95.0), 95.0);
-  EXPECT_EQ(serve::ServeStats::Percentile(sample, 99.0), 99.0);
-  EXPECT_EQ(serve::ServeStats::Percentile(sample, 0.0), 1.0);
-  EXPECT_EQ(serve::ServeStats::Percentile(sample, 100.0), 100.0);
-  EXPECT_EQ(serve::ServeStats::Percentile({42.0}, 99.0), 42.0);
-  EXPECT_EQ(serve::ServeStats::Percentile({}, 50.0), 0.0);
-  // Unsorted input is sorted internally.
-  EXPECT_EQ(serve::ServeStats::Percentile({3.0, 1.0, 2.0}, 50.0), 2.0);
-}
-
 // ---- end-to-end serving -------------------------------------------------------
 
 struct LSTMFixture {
@@ -333,8 +317,7 @@ TEST(Serve, VMPoolRunsBatchesDirectly) {
   // (carrying its own executable) executes every request and fulfills its
   // promises.
   LSTMFixture fixture(6);
-  serve::ServeStats stats;
-  serve::VMPool pool(3, &stats);
+  serve::VMPool pool(3);
   std::vector<std::future<runtime::ObjectRef>> futures;
   serve::Batch batch;
   batch.exec = fixture.exec;
@@ -426,6 +409,105 @@ TEST(Serve, TwoModelsShareOnePoolWithPerModelStats) {
   EXPECT_GT(snap_a.batches, 0);
   EXPECT_GT(snap_b.batches, 0);
   EXPECT_THROW(server.stats("no-such-model"), Error);
+}
+
+/// Every counter field of a snapshot, by name, for field-by-field sums.
+std::vector<std::pair<std::string, int64_t>> CounterFields(
+    const serve::StatsSnapshot& s) {
+  std::vector<std::pair<std::string, int64_t>> fields = {
+      {"completed", s.completed},
+      {"failed", s.failed},
+      {"rejected", s.rejected},
+      {"arrivals", s.arrivals},
+      {"batches", s.batches},
+      {"packed_batches", s.packed_batches},
+      {"padded_elements", s.padded_elements},
+      {"packed_total_elements", s.packed_total_elements},
+      {"variant_batches", s.variant_batches},
+      {"variant_padded_elements", s.variant_padded_elements},
+      {"variant_total_elements", s.variant_total_elements},
+      {"cache_hits", s.cache_hits},
+      {"cache_misses", s.cache_misses},
+      {"cache_evictions", s.cache_evictions},
+      {"variant_compiles", s.variant_compiles},
+      {"tune_events", s.tune_events},
+      {"splices", s.splices},
+      {"continuous_steps", s.continuous_steps},
+      {"continuous_row_steps", s.continuous_row_steps},
+      {"continuous_idle_row_steps", s.continuous_idle_row_steps},
+      {"slot_count", s.slot_count},
+  };
+  for (size_t i = 0; i < s.batch_size_hist.size(); ++i) {
+    fields.emplace_back("batch_size_hist[" + std::to_string(i) + "]",
+                        s.batch_size_hist[i]);
+  }
+  return fields;
+}
+
+void ExpectSumOfParts(const serve::StatsSnapshot& total,
+                      const serve::StatsSnapshot& a,
+                      const serve::StatsSnapshot& b) {
+  auto ft = CounterFields(total);
+  auto fa = CounterFields(a);
+  auto fb = CounterFields(b);
+  ASSERT_EQ(ft.size(), fa.size());
+  ASSERT_EQ(ft.size(), fb.size());
+  for (size_t i = 0; i < ft.size(); ++i) {
+    EXPECT_EQ(ft[i].second, fa[i].second + fb[i].second) << ft[i].first;
+  }
+}
+
+TEST(Serve, AggregateStatsAreTheSumOfPerModelStats) {
+  // A packed model and a continuous one, so both paths' counters move.
+  std::vector<int64_t> lengths = {5, 5, 9, 3, 12, 7, 5, 5};
+  LSTMFixture packed(lengths, /*hidden_size=*/12, /*seed=*/19,
+                     /*with_batched_entry=*/true);
+  schedfuzz::ContinuousHarness continuous;
+  serve::ServeConfig config;
+  config.num_workers = 2;
+  serve::Server server(config);
+  serve::ModelConfig p;
+  p.exec = packed.exec;
+  p.batch.tensor_batching = true;
+  p.batch.max_batch_size = 4;
+  p.batch.max_wait_micros = 500;
+  serve::ModelConfig c;
+  c.exec = continuous.exec;
+  c.batch.continuous = true;
+  c.batch.continuous_slots = 3;
+  server.AddModel("packed", std::move(p));
+  server.AddModel("cont", std::move(c));
+  server.Start();
+
+  support::Rng rng(23);
+  std::vector<std::future<runtime::ObjectRef>> futures;
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    futures.push_back(server.Submit("packed", packed.ArgsFor(i), lengths[i]));
+    NDArray x = models::RandomSequence(lengths[i], continuous.input_size, rng);
+    futures.push_back(server.Submit(
+        "cont", {MakeTensor(x), MakeTensor(NDArray::Scalar<int64_t>(lengths[i]))},
+        lengths[i]));
+  }
+  for (auto& f : futures) f.get();
+  server.Drain();
+
+  auto a = server.stats("packed");
+  auto b = server.stats("cont");
+  auto total = server.stats();
+  EXPECT_GT(a.packed_batches, 0);
+  EXPECT_GT(b.continuous_steps, 0);
+  EXPECT_EQ(total.completed, static_cast<int64_t>(2 * lengths.size()));
+  ExpectSumOfParts(total, a, b);
+  EXPECT_DOUBLE_EQ(total.max_latency_us,
+                   std::max(a.max_latency_us, b.max_latency_us));
+  EXPECT_DOUBLE_EQ(total.mean_latency_us * static_cast<double>(total.completed),
+                   a.mean_latency_us * static_cast<double>(a.completed) +
+                       b.mean_latency_us * static_cast<double>(b.completed));
+
+  // SnapshotAll's aggregate is the sum of its own per-model views.
+  serve::Server::ServerSnapshot all = server.SnapshotAll();
+  ASSERT_EQ(all.models.size(), 2u);
+  ExpectSumOfParts(all.aggregate, all.models[0].stats, all.models[1].stats);
 }
 
 TEST(Serve, CompileWhileServingKeepsResultsBitIdentical) {
@@ -772,7 +854,8 @@ TEST(TensorBatching, BatchedSpecSurvivesSaveLoad) {
 }
 
 TEST(ServeStats, BatchHistogramAndPaddingWaste) {
-  serve::ServeStats stats;
+  obs::MetricRegistry registry;
+  serve::ServeStats stats(registry, "m");
   stats.RecordBatch(1);
   stats.RecordBatch(2);
   stats.RecordBatch(4);
@@ -797,8 +880,6 @@ TEST(ServeStats, BatchHistogramAndPaddingWaste) {
   EXPECT_EQ(snap.packed_total_elements, 200);
   EXPECT_DOUBLE_EQ(snap.padding_waste, 0.125);
   EXPECT_STREQ(serve::ServeStats::BatchHistLabel(3), "5-8");
-  stats.Reset();
-  EXPECT_EQ(stats.Snapshot().packed_batches, 0);
 }
 
 // ---- shape-bucket executable cache --------------------------------------------
@@ -994,7 +1075,8 @@ TEST(ExecCache, VariantsCarryTunedDenseConfig) {
   cache_config.tune_n = 24;
   cache_config.tune_k = 40;
   cache_config.tune_repeats = 1;
-  serve::ServeStats stats;
+  obs::MetricRegistry registry;
+  serve::ServeStats stats(registry, "m");
   serve::ExecCache cache(LSTMVariantCompiler(config), cache_config, &stats);
 
   EXPECT_EQ(cache.Lookup(5, 2), nullptr);
@@ -1036,7 +1118,8 @@ TEST(ExecCache, LRUEvictionUnderBucketChurn) {
   cache_config.capacity = 2;
   cache_config.min_observations = 1;
   cache_config.specialize_batch = 2;
-  serve::ServeStats stats;
+  obs::MetricRegistry registry;
+  serve::ServeStats stats(registry, "m");
   serve::ExecCache cache(LSTMVariantCompiler(config), cache_config, &stats);
 
   // Churn through four lengths; only the two most recent survive.
@@ -1269,26 +1352,18 @@ TEST(TensorBatching, RowMapRejectsStatefulSpecs) {
   EXPECT_NE(check.reason.find("state"), std::string::npos) << check.reason;
 }
 
-TEST(ServeStats, PerBucketPaddingAndCacheCounters) {
-  serve::ServeStats stats;
-  stats.RecordPackedBatch(/*padded=*/10, /*total=*/100, /*bucket=*/1,
-                          /*on_variant=*/false);
-  stats.RecordPackedBatch(/*padded=*/0, /*total=*/80, /*bucket=*/2,
-                          /*on_variant=*/true);
-  stats.RecordPackedBatch(/*padded=*/6, /*total=*/20, /*bucket=*/1,
-                          /*on_variant=*/false);
+TEST(ServeStats, VariantPaddingAndCacheCounters) {
+  obs::MetricRegistry registry;
+  serve::ServeStats stats(registry, "m");
+  stats.RecordPackedBatch(/*padded=*/10, /*total=*/100, /*on_variant=*/false);
+  stats.RecordPackedBatch(/*padded=*/0, /*total=*/80, /*on_variant=*/true);
+  stats.RecordPackedBatch(/*padded=*/6, /*total=*/20, /*on_variant=*/false);
   stats.RecordCacheHit();
   stats.RecordCacheHit();
   stats.RecordCacheMiss();
   stats.RecordCacheEviction();
   stats.RecordVariantCompile();
   auto snap = stats.Snapshot();
-  ASSERT_EQ(snap.padding_by_bucket.size(), 2u);
-  EXPECT_EQ(snap.padding_by_bucket[0].bucket, 1);
-  EXPECT_EQ(snap.padding_by_bucket[0].padded_elements, 16);
-  EXPECT_EQ(snap.padding_by_bucket[0].total_elements, 120);
-  EXPECT_EQ(snap.padding_by_bucket[1].bucket, 2);
-  EXPECT_DOUBLE_EQ(snap.padding_by_bucket[1].waste(), 0.0);
   EXPECT_EQ(snap.variant_batches, 1);
   EXPECT_EQ(snap.variant_padded_elements, 0);
   EXPECT_DOUBLE_EQ(snap.variant_padding_waste, 0.0);
@@ -1297,11 +1372,6 @@ TEST(ServeStats, PerBucketPaddingAndCacheCounters) {
   EXPECT_EQ(snap.cache_evictions, 1);
   EXPECT_EQ(snap.variant_compiles, 1);
   EXPECT_DOUBLE_EQ(snap.cache_hit_rate, 2.0 / 3.0);
-  stats.Reset();
-  auto clean = stats.Snapshot();
-  EXPECT_TRUE(clean.padding_by_bucket.empty());
-  EXPECT_EQ(clean.cache_hits, 0);
-  EXPECT_EQ(clean.variant_batches, 0);
 }
 
 // ---- RequestQueue under concurrent producers ----------------------------------
@@ -1619,7 +1689,8 @@ TEST(Serve, DrainFulfillsEveryQueuedRequestDeterministically) {
 }
 
 TEST(ServeStats, QueueWaitPlusExecEqualsEndToEndLatency) {
-  serve::ServeStats stats;
+  obs::MetricRegistry registry;
+  serve::ServeStats stats(registry, "m");
   auto t0 = serve::Clock::now();
   stats.RecordEnqueue(t0);
   stats.RecordCompletion(/*latency_us=*/1000.0, /*queue_wait_us=*/700.0,
@@ -1634,15 +1705,11 @@ TEST(ServeStats, QueueWaitPlusExecEqualsEndToEndLatency) {
   EXPECT_DOUBLE_EQ(snap.max_queue_wait_us, 1200.0);
   EXPECT_DOUBLE_EQ(snap.mean_queue_wait_us + snap.mean_exec_us,
                    snap.mean_latency_us);
-
-  stats.Reset();
-  snap = stats.Snapshot();
-  EXPECT_DOUBLE_EQ(snap.mean_queue_wait_us, 0.0);
-  EXPECT_EQ(snap.arrivals, 0);
 }
 
 TEST(ServeStats, ArrivalEwmaTracksGap) {
-  serve::ServeStats stats;
+  obs::MetricRegistry registry;
+  serve::ServeStats stats(registry, "m");
   auto t = serve::Clock::now();
   EXPECT_DOUBLE_EQ(stats.MeanInterArrivalMicros(), 0.0) << "no signal yet";
   stats.RecordEnqueue(t);
@@ -1655,6 +1722,48 @@ TEST(ServeStats, ArrivalEwmaTracksGap) {
   auto snap = stats.Snapshot();
   EXPECT_EQ(snap.arrivals, 51);
   EXPECT_NEAR(snap.arrival_rate_rps, 5000.0, 1e-3);
+}
+
+TEST(ServeStats, SnapshotIsAViewOfTheRegistry) {
+  obs::MetricRegistry registry;
+  serve::ServeStats stats(registry, "m");
+  auto t0 = serve::Clock::now();
+  stats.RecordEnqueue(t0);
+  stats.RecordEnqueue(t0);
+  stats.RecordRejected();
+  stats.RecordCompletion(100.0, 40.0, 60.0, /*ok=*/true, t0);
+  stats.RecordCompletion(300.0, 100.0, 200.0, /*ok=*/false, t0);
+  stats.RecordSplice(5.0);
+  stats.RecordStep(/*occupied=*/2, /*num_slots=*/4, 10.0);
+  auto snap = stats.Snapshot();
+
+  auto counter = [&](const char* family, obs::LabelSet labels) {
+    labels.emplace_back("model", "m");
+    return registry.GetCounter(family, labels)->Value();
+  };
+  EXPECT_EQ(snap.arrivals, counter("nimble_arrivals_total", {}));
+  EXPECT_EQ(snap.completed,
+            counter("nimble_requests_total", {{"outcome", "completed"}}));
+  EXPECT_EQ(snap.failed,
+            counter("nimble_requests_total", {{"outcome", "failed"}}));
+  EXPECT_EQ(snap.rejected,
+            counter("nimble_requests_total", {{"outcome", "rejected"}}));
+  EXPECT_EQ(snap.splices, counter("nimble_splices_total", {}));
+  EXPECT_EQ(snap.continuous_steps, counter("nimble_steps_total", {}));
+  EXPECT_EQ(snap.continuous_idle_row_steps,
+            counter("nimble_idle_row_steps_total", {}));
+  EXPECT_EQ(snap.continuous_row_steps, 4);
+  EXPECT_EQ(snap.slot_count, 4);
+  obs::Histogram* e2e =
+      registry.GetHistogram("nimble_e2e_latency_us", {{"model", "m"}},
+                            obs::Histogram::LatencyBoundsUs());
+  EXPECT_EQ(e2e->Count(), snap.completed + snap.failed);
+  EXPECT_DOUBLE_EQ(snap.mean_latency_us, e2e->Sum() / 2.0);
+  EXPECT_DOUBLE_EQ(snap.max_latency_us, 300.0);
+
+  // Same registry, same model: the same store.
+  serve::ServeStats again(registry, "m");
+  EXPECT_EQ(again.Snapshot().failed, 1);
 }
 
 // ---- drain-time leak sentinels ------------------------------------------------

@@ -372,6 +372,30 @@ TEST(Serialization, RejectsGarbage) {
   EXPECT_THROW(vm::Executable::Load(buffer), Error);
 }
 
+TEST(Serialization, RejectsOtherFormatVersions) {
+  Var x = MakeVar("x", ScalarType(DataType::Float32()));
+  auto exec = CompileMain(
+      MakeFunction({x}, op::Call2("add", x, FloatConst(1.0f))));
+  std::stringstream buffer;
+  exec->Save(buffer);
+  // The version word follows the 4-byte magic; patch it to the previous
+  // format, which the loader no longer reads.
+  std::string image = buffer.str();
+  const uint32_t old_version = 5;
+  image.replace(4, sizeof(old_version),
+                reinterpret_cast<const char*>(&old_version),
+                sizeof(old_version));
+  std::stringstream patched(image);
+  try {
+    vm::Executable::Load(patched);
+    FAIL() << "a version-5 image must not load";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("unsupported executable version"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 TEST(Serialization, ConstantsSurviveWithWeights) {
   NDArray weight = NDArray::FromVector<float>({1, 2, 3, 4}, {4});
   Var x = MakeVar("x", TensorType(std::vector<int64_t>{4}));
