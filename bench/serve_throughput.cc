@@ -362,7 +362,7 @@ int main(int argc, char** argv) {
   // batch's Lmax). Cached = same policy plus an ExecCache: hot lengths get
   // background-compiled variants with (Lmax, B) baked in, the scheduler
   // carves full same-length batches onto them — zero padding, fully static
-  // dataflow, bucket-tuned dispatch. The cache is shared across runs (the
+  // dataflow. The cache is shared across runs (the
   // warmed cache is the asset; round 0 below is the cold warm-up), so the
   // measured rounds show the steady state a long-running server reaches.
   int cm_requests = std::max(requests * 3, 256);

@@ -121,29 +121,6 @@ PackCheck AnalyzeBatch(const vm::Executable& exec,
     check.reason = why.str();
     return check;
   }
-  // Bit-identity guard (see the header): dispatch must route every row
-  // count this executable can see — the batch's own row count on the packed
-  // path (a time-major entry's dense calls all run on [B, *] activations)
-  // and the single row of the per-request path — to the specialized dense
-  // kernel family, exactly like the full-coverage table the results are
-  // compared against; mixing in the generic kernel changes accumulation
-  // order. Full and empty coverage are always safe; a bucket-tuned variant
-  // table passes by covering exactly those two residues.
-  int variants = exec.dispatch_table.num_variants();
-  bool full_or_empty = variants == codegen::kTileRows || variants == 1;
-  int batch_residue =
-      static_cast<int>(requests.size() % static_cast<size_t>(codegen::kTileRows));
-  if (!full_or_empty &&
-      !(time_major && exec.dispatch_table.Covers(batch_residue) &&
-        exec.dispatch_table.Covers(1 % codegen::kTileRows))) {
-    std::ostringstream why;
-    why << "dense dispatch coverage (mask=0x" << std::hex
-        << exec.dispatch_table.residue_mask() << std::dec
-        << ") does not cover this batch's rows; mixing kernel families "
-           "breaks per-row bit-identity";
-    check.reason = why.str();
-    return check;
-  }
   for (const serve::Request& request : requests) {
     const NDArray* seq = SeqTensor(*spec, request, &check.reason);
     if (seq == nullptr) return check;

@@ -32,19 +32,12 @@
 // batch buffer.
 //
 // Bit-identity contract: a packed run must reproduce the per-request path
-// bit for bit. Two rules enforce it here; the batched function itself (e.g.
-// models::BuildLSTM's @main_batched) guarantees the rest via exact `where`
-// masking (a row-map entry is row-independent, which is the whole property):
-//   - every kernel the entry uses computes batch rows independently and in
-//     the same per-row order for any row count (true of the repo's dense /
-//     elementwise / lstm_cell kernels);
-//   - the executable's dense dispatch must not mix kernel families between
-//     the row counts the per-request path sees and the row counts the
-//     packed path sees: residue coverage has to be full (every M
-//     specialized) or empty (every M generic) — or, for a time-major batch,
-//     cover the batch's own row count, since a time-major entry's dense
-//     calls all run on [B, *] activations (the convention bucket-tuned
-//     variant tables rely on). AnalyzeBatch rejects everything else.
+// bit for bit. Every kernel the entry uses computes batch rows
+// independently and in the same per-row order for any row count and any
+// dense dispatch configuration (true of the repo's dense / elementwise /
+// lstm_cell kernels); the batched function itself (e.g. models::BuildLSTM's
+// @main_batched) guarantees the rest via exact `where` masking (a row-map
+// entry is row-independent, which is the whole property).
 //
 // Thread-safety: AnalyzeBatch and PackPlan only read the executable and the
 // requests; each pool worker builds its own plans with its own allocator.

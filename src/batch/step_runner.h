@@ -71,12 +71,8 @@ struct ContinuousCheck {
 
 /// Decides whether `exec` can serve entry `function` with a persistent
 /// batch of `num_slots` rows. Requires a time-major batched spec carrying a
-/// step twin, a generic (non-variant) executable, recurrent state to carry
-/// (num_state_args >= 1, result_state in range), and — the bit-identity
-/// gate mirroring AnalyzeBatch — dense dispatch coverage that routes both
-/// row counts this path sees (num_slots on every step, 1 on the sequential
-/// reference) to one kernel family: full, empty, or covering exactly those
-/// two residues.
+/// step twin, a generic (non-variant) executable, and recurrent state to
+/// carry (num_state_args >= 1, result_state in range).
 ContinuousCheck AnalyzeContinuous(const vm::Executable& exec,
                                   const std::string& function,
                                   int64_t num_slots);
@@ -150,6 +146,9 @@ class StepRunner {
   void FailAll(SlotMap& slots, std::exception_ptr error);
   void Complete(serve::Request request, runtime::ObjectRef result,
                 std::exception_ptr error);
+  /// Publishes the live-slot count to the watchdog's health source and the
+  /// slot-occupancy gauge, after every splice, retire scan and FailAll.
+  void PublishLiveRows(int64_t live);
 
   std::shared_ptr<vm::Executable> exec_;
   const vm::BatchedEntrySpec* spec_;  // points into *exec_

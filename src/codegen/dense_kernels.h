@@ -7,18 +7,19 @@
 // is known when the kernel is compiled. Nimble therefore emits T
 // residue-specialized copies of the kernel (replacing M with T*q + r) plus a
 // runtime dispatch on r; with fewer copies, uncovered residues fall back to
-// the generic symbolic kernel whose inner loops carry runtime bounds checks
-// and cannot be unrolled.
+// the generic symbolic kernel, which checks the tile boundary at runtime.
 //
 // We reproduce that structure with templates:
-//  - MicroRowsF32<ROWS>: compile-time row count => the row loop unrolls into
-//    ROWS independent accumulator chains (the "boundary check eliminated"
+//  - MicroRowsF32<ROWS>: compile-time row count => the residue tail is a
+//    fixed sequence of single-row kernels (the "boundary check eliminated"
 //    code the paper's codegen produces);
 //  - DenseResidue<R>: q full tiles of kTileRows rows + a compile-time tail
 //    of R rows — the specialized kernel for residue class R;
 //  - DenseSymbolicChecked: one generic kernel where every tile re-derives
-//    `rows = min(kTileRows, M - i)` and loops with a runtime trip count —
-//    what symbolic codegen emits when it cannot specialize.
+//    `rows = min(kTileRows, M - i)` and branches on it — what symbolic
+//    codegen emits when it cannot specialize.
+// Every one of them computes each output row in MicroRow1F32's order, so
+// the dispatch configuration changes speed, never bits.
 #pragma once
 
 #include <algorithm>
@@ -97,23 +98,6 @@ inline void MicroRowsF32(const float* x, const float* w, float* out,
   }
 }
 
-/// Runtime-row-count block: the row loop has a runtime trip count nested in
-/// the hot k-loop, which blocks unrolling — the cost of unresolved boundary
-/// conditions.
-inline void MicroRowsDynF32(const float* x, const float* w, float* out,
-                            int64_t rows, int64_t n_cols, int64_t k_depth,
-                            int64_t out_stride) {
-  for (int64_t n = 0; n < n_cols; ++n) {
-    const float* wrow = w + n * k_depth;
-    for (int64_t r = 0; r < rows; ++r) {
-      float acc = 0.0f;
-      const float* xrow = x + r * k_depth;
-      for (int64_t k = 0; k < k_depth; ++k) acc += xrow[k] * wrow[k];
-      out[r * out_stride + n] = acc;
-    }
-  }
-}
-
 /// Residue-specialized dense kernel: M = kTileRows * q + R with R fixed at
 /// compile time. All loop bounds in the hot path are tile-exact; full tiles
 /// run rows-in-lanes where the CPU allows (MicroTile8F32).
@@ -129,7 +113,9 @@ void DenseResidue(const float* x, const float* w, float* out, int64_t m,
   }
 }
 
-/// Generic symbolic kernel: every tile carries a runtime boundary check.
+/// Generic symbolic kernel: every tile carries a runtime boundary check;
+/// a full tile runs MicroTile8F32 and a partial one runs row by row on
+/// MicroRow1F32 (the same split DenseBlockedCell makes).
 void DenseSymbolicChecked(const float* x, const float* w, float* out,
                           int64_t m, int64_t n, int64_t k);
 

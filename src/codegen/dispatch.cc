@@ -223,7 +223,13 @@ void DenseSymbolicChecked(const float* x, const float* w, float* out,
                           int64_t m, int64_t n, int64_t k) {
   for (int64_t i0 = 0; i0 < m; i0 += kTileRows) {
     int64_t rows = std::min<int64_t>(kTileRows, m - i0);  // boundary check
-    MicroRowsDynF32(x + i0 * k, w, out + i0 * n, rows, n, k, n);
+    if (rows == kTileRows) {
+      MicroTile8F32(x + i0 * k, w, out + i0 * n, n, k, n);
+    } else {
+      for (int64_t r = i0; r < m; ++r) {
+        MicroRow1F32(x + r * k, w, out + r * n, n, k);
+      }
+    }
   }
 }
 
@@ -259,31 +265,6 @@ void DenseDispatchTable::Configure(int num_variants) {
     int r = v * stride;
     table_[r] = ResidueKernel(r);
   }
-}
-
-void DenseDispatchTable::ConfigureResidues(uint32_t residue_mask) {
-  NIMBLE_CHECK_LT(residue_mask, 1u << kTileRows)
-      << "residue mask has bits beyond the tile factor";
-  table_.fill(nullptr);
-  stats_.Reset();
-  int covered = 0;
-  for (int r = 0; r < kTileRows; ++r) {
-    if (residue_mask & (1u << r)) {
-      table_[static_cast<size_t>(r)] = ResidueKernel(r);
-      ++covered;
-    }
-  }
-  // num_variants keeps its "specialized kernels in the table" meaning; an
-  // empty mask is the no-dispatch configuration (generic kernel only).
-  num_variants_ = covered > 0 ? covered : 1;
-}
-
-uint32_t DenseDispatchTable::residue_mask() const {
-  uint32_t mask = 0;
-  for (int r = 0; r < kTileRows; ++r) {
-    if (table_[static_cast<size_t>(r)] != nullptr) mask |= 1u << r;
-  }
-  return mask;
 }
 
 void DenseDispatchTable::Run(const float* x, const float* w, float* out,

@@ -4,7 +4,9 @@
 // entries plus the generic symbolic fallback. At call time the table selects
 // by `M mod kTileRows`; a residue without a specialized entry runs the
 // checked generic kernel. `num_variants` = 8 is the paper's "full dispatch",
-// 1 is "no dispatch" (only the generic kernel).
+// 1 is "no dispatch" (only the generic kernel). Every configuration computes
+// each output row in MicroRow1F32's order, so the table decides speed and
+// never bits.
 //
 // The table also exposes counters so benchmarks and tests can observe which
 // path executed — and can route to a "third-party library" kernel when
@@ -42,9 +44,9 @@ using DenseKernelFn = void (*)(const float* x, const float* w, float* out,
 /// speed and blocking only adds loop overhead.
 inline constexpr int64_t kDenseBlockedMinMacs = int64_t{1} << 20;
 
-/// Counters are atomic so concurrent VM workers (src/serve/) can share the
-/// global table; increments use relaxed ordering — they are observability,
-/// not synchronization.
+/// Counters are atomic so concurrent VM workers (src/serve/) can share one
+/// executable's table; increments use relaxed ordering — they are
+/// observability, not synchronization.
 struct DispatchStats {
   std::atomic<int64_t> specialized_calls{0};
   std::atomic<int64_t> fallback_calls{0};
@@ -74,19 +76,6 @@ class DenseDispatchTable {
   /// (by core::Compile or Executable::Load, before the executable is handed
   /// to any VM) and is read-only afterwards.
   void Configure(int num_variants);
-
-  /// Rebuilds the table with specialized kernels at exactly the residues set
-  /// in `residue_mask` (bit r covers residue r); every other residue runs
-  /// the checked generic kernel. This is how a bucket-specialized executable
-  /// variant (src/serve/exec_cache.h) carries a table tuned to the only M
-  /// values its batches can produce, instead of paying for full coverage.
-  /// Same thread-safety contract as Configure.
-  void ConfigureResidues(uint32_t residue_mask);
-
-  /// True when residue r routes to a specialized kernel.
-  bool Covers(int r) const { return table_[static_cast<size_t>(r)] != nullptr; }
-  /// Bitmask of specialized residues (bit r set iff Covers(r)).
-  uint32_t residue_mask() const;
 
   /// Runs x[M,K] · w[N,K]^T -> out[M,N], dispatching on M mod kTileRows.
   void Run(const runtime::NDArray& x, const runtime::NDArray& w,

@@ -50,21 +50,7 @@ CompileResult Compile(ir::Module& mod, const CompileOptions& options) {
   // the table is written here, before anyone else can see the executable,
   // and is read-only from then on. Compiling has no effect on models that
   // are already serving.
-  if (options.specialize_length > 0 && options.specialize_batch > 0) {
-    // A fully-specialized variant's dense calls can only see two row
-    // counts: the baked batch size on the packed path and a single row on
-    // the per-request fallback. Cover exactly those residues with the
-    // specialized kernel family (the same family a full table routes them
-    // to, preserving bit-identity with the generic executable) and skip the
-    // rest.
-    uint32_t mask =
-        (1u << (options.specialize_batch % codegen::kTileRows)) |
-        (1u << (1 % codegen::kTileRows));
-    result.executable->dispatch_table.ConfigureResidues(mask);
-  } else {
-    result.executable->dispatch_table.Configure(
-        options.dense_dispatch_variants);
-  }
+  result.executable->dispatch_table.Configure(options.dense_dispatch_variants);
   // Batched-entry specs ride along the same way as the dispatch config:
   // stamped before the executable escapes, immutable afterwards. A
   // length-specialized executable's spec points at the unmasked exact twin

@@ -63,10 +63,7 @@ struct CompileOptions {
   /// batched entry, making its dataflow fully static — no runtime shape
   /// functions, compile-time storage allocation, exact memory planning. The
   /// variant then only accepts full batches of exactly this size; 0 keeps
-  /// the batch dimension symbolic. The variant's dispatch table is tuned to
-  /// the only dense row counts its batches can produce (the baked batch
-  /// size and the per-request fallback's single row) instead of full
-  /// residue coverage.
+  /// the batch dimension symbolic.
   int64_t specialize_batch = 0;
   /// With specialize_length: unroll the batched entry's recursion into
   /// straight-line bytecode (pass::UnrollBatchedLoop) — the loop bound is a

@@ -66,9 +66,10 @@ namespace serve {
 /// the variant's exact dense shape, otherwise the cache's default).
 /// Typically rebuilds the model's module and calls core::Compile with
 /// specialize_length/specialize_batch set; must return a variant whose
-/// weights and kernel policy match the generic executable (same builder
-/// seed, same dense_dispatch_variants family), or null to mark the length
-/// uncompilable (it is then never retried). With tuning enabled the
+/// weights match the generic executable (same builder seed), or null to
+/// mark the length uncompilable (it is then never retried). Any
+/// dense_dispatch_variants count computes the same bits, so the variant's
+/// dispatch table need not match the generic one. With tuning enabled the
 /// returned executable must be freshly built (not shared with serving):
 /// the cache stamps the chosen config on it before publishing. Runs on the
 /// cache's compile thread.

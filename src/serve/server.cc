@@ -41,7 +41,7 @@ void Server::AddModel(const std::string& name, ModelConfig model) {
   state->policy = std::move(model.batch);
   if (state->policy.continuous) {
     // Fail at registration, not at first request: a model that cannot serve
-    // continuously (no step twin, variant executable, uncovered dispatch)
+    // continuously (no step twin, variant executable, no recurrent state)
     // is a configuration error.
     batch::ContinuousCheck check = batch::AnalyzeContinuous(
         *state->exec, state->function, state->policy.continuous_slots);

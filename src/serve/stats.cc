@@ -145,7 +145,7 @@ ServeStats::ServeStats(obs::MetricRegistry& registry,
       "Rows of the persistent batch (0 when the model is not continuous)");
   slot_occupancy_ = registry.GetGauge(
       "nimble_slot_occupancy", m,
-      "Live slots of the persistent batch as of the latest step");
+      "Live slots of the persistent batch (0 once drained)");
 }
 
 void ServeStats::RecordEnqueue(Clock::time_point when) {
@@ -199,7 +199,6 @@ void ServeStats::RecordStep(int64_t occupied, int64_t num_slots,
   counters_[kSteps]->Increment();
   if (num_slots > occupied) counters_[kIdleRowSteps]->Increment(num_slots - occupied);
   slots_->Set(static_cast<double>(num_slots));
-  slot_occupancy_->Set(static_cast<double>(occupied));
   histograms_[kStepDuration]->Observe(duration_us);
   histograms_[kActiveRows]->Observe(static_cast<double>(occupied));
 }

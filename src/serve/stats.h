@@ -94,7 +94,7 @@ struct StatsSnapshot {
   int64_t continuous_row_steps = 0;       // steps * slots
   int64_t continuous_idle_row_steps = 0;  // row steps with no live request
   int64_t slot_count = 0;      // configured slots (0 = model not continuous)
-  int64_t slot_occupancy = 0;  // live slots as of the latest step
+  int64_t slot_occupancy = 0;  // live slots now (after the latest retires)
   double mean_slot_occupancy = 0.0;  // live row steps / steps
   double idle_slot_fraction = 0.0;   // idle row steps / row steps
   /// Step-level timing (recorded by the runner per step / per splice):
@@ -171,6 +171,11 @@ class ServeStats {
   /// (gather + invoke + retire scan; 0 when unmeasured).
   void RecordStep(int64_t occupied, int64_t num_slots,
                   double duration_us = 0.0);
+  /// The persistent batch now holds `live` requests (after a splice or a
+  /// step's retires), so a drained runner reads 0.
+  void SetSlotOccupancy(int64_t live) {
+    slot_occupancy_->Set(static_cast<double>(live));
+  }
 
   /// One request finished (promise fulfilled): `latency_us` end to end,
   /// split into `queue_wait_us` (admission -> worker pickup) + `exec_us`

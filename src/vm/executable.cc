@@ -11,8 +11,8 @@ namespace vm {
 namespace {
 
 constexpr uint32_t kMagic = 0x4e4d424cu;  // "NMBL"
-// Layout (version 6), every field little-endian as written by WritePod:
-//   magic, version, dense dispatch residue mask (uint32);
+// Layout (version 7), every field little-endian as written by WritePod:
+//   magic, version, dense dispatch variant count (uint32);
 //   constants, packed-function entries and VM functions, each
 //     length-prefixed;
 //   batched-entry specs (src/vm/batch_spec.h): function names, step twin
@@ -20,7 +20,7 @@ constexpr uint32_t kMagic = 0x4e4d424cu;  // "NMBL"
 //   the shape-bucket variant trailer (Executable::VariantInfo);
 //   the dense cache-blocking config (block_n, block_k, tuned flag).
 // Load accepts exactly this version; any other is rejected.
-constexpr uint32_t kVersion = 6;
+constexpr uint32_t kVersion = 7;
 
 // ---- primitive writers/readers ---------------------------------------------
 
@@ -194,7 +194,7 @@ std::string Executable::Disassemble() const {
 void Executable::Save(std::ostream& os) const {
   WritePod<uint32_t>(os, kMagic);
   WritePod<uint32_t>(os, kVersion);
-  WritePod<uint32_t>(os, dispatch_table.residue_mask());
+  WritePod<uint32_t>(os, static_cast<uint32_t>(dispatch_table.num_variants()));
   WritePod<uint64_t>(os, constants.size());
   for (const auto& c : constants) WriteNDArray(os, c);
   WritePod<uint64_t>(os, packed.size());
@@ -241,7 +241,7 @@ std::shared_ptr<Executable> Executable::Load(std::istream& is) {
       << "unsupported executable version " << version << " (this build reads "
       << kVersion << ")";
   auto exec = std::make_shared<Executable>();
-  exec->dispatch_table.ConfigureResidues(ReadPod<uint32_t>(is));
+  exec->dispatch_table.Configure(static_cast<int>(ReadPod<uint32_t>(is)));
   uint64_t num_consts = ReadPod<uint64_t>(is);
   for (uint64_t i = 0; i < num_consts; ++i) {
     exec->constants.push_back(ReadNDArray(is));

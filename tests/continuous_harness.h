@@ -4,10 +4,13 @@
 // and can replay any schedfuzz::FuzzSchedule against it end to end:
 //
 //   1. generate each request's input from the schedule's seed and compute
-//      the sequential single-VM reference result;
+//      the sequential single-VM reference result on the default
+//      (full-dispatch) executable;
 //   2. serve the same requests through a Server in continuous mode
 //      (BatchPolicy::continuous -> batch::StepRunner slot map), honouring
-//      the schedule's inter-arrival gaps;
+//      the schedule's inter-arrival gaps, on the same model compiled with
+//      the requested dense dispatch variant count — every count must give
+//      the reference's bits;
 //   3. assert bitwise equality against the reference for every request,
 //      FIFO admission (splice timestamps non-decreasing in submission
 //      order), and the slot-map accounting invariants:
@@ -43,6 +46,7 @@
 #include <thread>
 #include <vector>
 
+#include "src/codegen/dense_kernels.h"
 #include "src/core/compiler.h"
 #include "src/models/lstm.h"
 #include "src/models/workloads.h"
@@ -89,15 +93,22 @@ struct ContinuousHarness {
     config.seed = weight_seed;
     config.emit_batched = true;
     model = models::BuildLSTM(config);
-    ir::Module mod = model.module;
-    core::CompileOptions opts;
-    opts.batched_entries = {model.batched_spec};
-    exec = core::Compile(mod, opts).executable;
+    exec = ExecFor(codegen::kTileRows);
   }
 
-  /// Replays `schedule` against a `num_slots`-slot continuous server.
+  /// The model compiled with `dispatch_variants` residue-specialized dense
+  /// kernels, once per count; the full table is `exec`.
+  std::shared_ptr<vm::Executable> ExecFor(int dispatch_variants) {
+    std::shared_ptr<vm::Executable>& cached = by_variants_[dispatch_variants];
+    if (cached == nullptr) cached = Compile(dispatch_variants);
+    return cached;
+  }
+
+  /// Replays `schedule` against a `num_slots`-slot continuous server whose
+  /// executable dispatches between `dispatch_variants` dense kernels.
   /// Returns "" on success, else the first failure (with the replay line).
-  std::string RunSchedule(const FuzzSchedule& schedule, int64_t num_slots) {
+  std::string RunSchedule(const FuzzSchedule& schedule, int64_t num_slots,
+                          int dispatch_variants = codegen::kTileRows) {
     using runtime::MakeTensor;
     using runtime::NDArray;
     const size_t n = schedule.requests.size();
@@ -127,13 +138,18 @@ struct ContinuousHarness {
     config.step_journal.ring_capacity = 65536;
     serve::Server server(config);
     serve::ModelConfig mc;
-    mc.exec = exec;
+    mc.exec = ExecFor(dispatch_variants);
     // Roomy queue: this driver asserts serving invariants, not shedding
     // (admission-overflow behaviour has its own tests).
     mc.queue_capacity = n + 1;
     mc.batch.continuous = true;
     mc.batch.continuous_slots = num_slots;
-    server.AddModel("lstm", std::move(mc));
+    try {
+      server.AddModel("lstm", std::move(mc));
+    } catch (const std::exception& e) {
+      return std::string("registration failed: ") + e.what() + " " +
+             schedule.Describe();
+    }
     server.Start();
 
     struct Completion {
@@ -246,6 +262,16 @@ struct ContinuousHarness {
   }
 
  private:
+  std::map<int, std::shared_ptr<vm::Executable>> by_variants_;
+
+  std::shared_ptr<vm::Executable> Compile(int dispatch_variants) const {
+    ir::Module mod = model.module;
+    core::CompileOptions opts;
+    opts.batched_entries = {model.batched_spec};
+    opts.dense_dispatch_variants = dispatch_variants;
+    return core::Compile(mod, opts).executable;
+  }
+
   template <typename Completion>
   std::string CheckJournal(const serve::Server& server,
                            const FuzzSchedule& schedule, int64_t steps,

@@ -1,11 +1,12 @@
 // Randomized schedule sweeper for continuous batching (not a gtest).
 //
 // Generates arrival/length schedules from sequential seeds (all three
-// sched_fuzz flavors, slot counts cycled per seed) and replays each one
-// through a continuous Server via schedfuzz::ContinuousHarness, asserting
-// bitwise identity against sequential execution plus the slot-map
-// invariants. On the first failure it prints the replay line, appends the
-// seed to --fail-file (CI uploads it as an artifact), and exits 1.
+// sched_fuzz flavors, slot counts and dense dispatch variant counts cycled
+// per seed) and replays each one through a continuous Server via
+// schedfuzz::ContinuousHarness, asserting bitwise identity against
+// full-dispatch sequential execution plus the slot-map invariants. On the
+// first failure it prints the replay line, appends the seed to --fail-file
+// (CI uploads it as an artifact), and exits 1.
 //
 //   sched_harness --runs 2000                  # nightly sweep
 //   sched_harness --runs 25 --base-seed 1      # CI smoke (fixed seeds)
@@ -19,6 +20,8 @@
 //   --requests N    requests per schedule (default 24)
 //   --max-len N     maximum sequence length (default 12)
 //   --slots N       slot count (default: cycles 1,2,4,8 by seed)
+//                   (the dispatch variant count always cycles 8,4,2,1 by
+//                   seed / 4, so 16 consecutive seeds cover every pair)
 //   --pool N        size the global kernel pool to N threads and drop the
 //                   parallel-dense threshold to 1, so even the harness's
 //                   tiny denses route through the tiled+parallel path —
@@ -118,22 +121,27 @@ int main(int argc, char** argv) {
 
   ContinuousHarness harness;
   const int64_t slot_cycle[] = {1, 2, 4, 8};
+  const int variant_cycle[] = {8, 4, 2, 1};
   int64_t passed = 0;
   for (int64_t i = 0; i < runs; ++i) {
     uint64_t seed = have_replay_seed ? replay_seed : base_seed + i;
-    // Slot count is a deterministic function of the seed, so a --seed
-    // replay reproduces the whole configuration, not just the schedule.
+    // Slot and dispatch variant counts are deterministic functions of the
+    // seed, so a --seed replay reproduces the whole configuration, not just
+    // the schedule.
     int64_t num_slots =
         forced_slots > 0 ? forced_slots : slot_cycle[seed % 4];
+    int variants = variant_cycle[(seed / 4) % 4];
     FuzzSchedule schedule =
         have_flavor
             ? MakeSchedule(seed, static_cast<int>(num_requests), max_len,
                            flavor)
             : MakeSchedule(seed, static_cast<int>(num_requests), max_len);
-    std::string failure = harness.RunSchedule(schedule, num_slots);
+    std::string failure = harness.RunSchedule(schedule, num_slots, variants);
     if (!failure.empty()) {
-      std::fprintf(stderr, "FAIL (slots=%lld): %s\n",
-                   static_cast<long long>(num_slots), failure.c_str());
+      std::fprintf(stderr,
+                   "FAIL (slots=%lld dense_dispatch_variants=%d): %s\n",
+                   static_cast<long long>(num_slots), variants,
+                   failure.c_str());
       if (!fail_file.empty()) {
         std::ofstream out(fail_file, std::ios::app);
         out << seed << "\n";

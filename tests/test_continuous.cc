@@ -302,6 +302,25 @@ TEST(Continuous, TwoLayerModelAndSingleSlotDegenerateCase) {
   EXPECT_EQ(harness.RunSchedule(burst, /*num_slots=*/8), "");
 }
 
+TEST(Continuous, EveryDispatchVariantCountMatchesFullDispatchSequential) {
+  // Every dense dispatch configuration computes each row in one order, so a
+  // partial table serves continuously — at slot counts whose residue it
+  // does not specialize — with the full-dispatch sequential reference's
+  // bits.
+  schedfuzz::ContinuousHarness harness(/*hidden_size=*/12, /*num_layers=*/1,
+                                       /*weight_seed=*/9);
+  for (int variants : {1, 2, 4}) {
+    for (int64_t slots : {1, 3, 8}) {
+      auto schedule = schedfuzz::MakeSchedule(
+          static_cast<uint64_t>(40 + variants * 8 + slots),
+          /*num_requests=*/12, /*max_len=*/10,
+          schedfuzz::ArrivalFlavor::kBursty);
+      EXPECT_EQ(harness.RunSchedule(schedule, slots, variants), "")
+          << "variants=" << variants << " slots=" << slots;
+    }
+  }
+}
+
 // ---- stats & observability --------------------------------------------------
 
 TEST(Continuous, StatsReportSlotOccupancyAndZeroPadding) {
@@ -345,6 +364,12 @@ TEST(Continuous, StatsReportSlotOccupancyAndZeroPadding) {
             total_len);
   EXPECT_GT(snap.mean_slot_occupancy, 0.0);
   EXPECT_LE(snap.mean_slot_occupancy, 4.0);
+  // Drained: the last request retired, so no slot is live — in /stats and
+  // in the /metrics gauge alike.
+  EXPECT_EQ(snap.slot_occupancy, 0);
+  EXPECT_NE(server.metrics_registry()->RenderPrometheus().find(
+                "nimble_slot_occupancy{model=\"lstm\"} 0\n"),
+            std::string::npos);
   // The human-readable rendering mentions the continuous counters.
   EXPECT_NE(snap.ToString().find("continuous"), std::string::npos);
   // Aggregate stats got the same completions.

@@ -2,6 +2,8 @@
 // execute on the VM, and compare numerics against plain-C++ references.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "src/core/compiler.h"
 #include "src/models/bert.h"
 #include "src/models/lstm.h"
@@ -141,7 +143,8 @@ INSTANTIATE_TEST_SUITE_P(Lengths, LSTMLengthSweep,
 
 /// BERT correctness must hold for every residue class of the dispatch tile
 /// factor, for every dispatch configuration — the shape-specialized kernels
-/// and the checked fallback must be bit-compatible in what they compute.
+/// and the checked fallback compute every row in one order, so each
+/// configuration's output equals full dispatch's bit for bit.
 class BERTResidueSweep
     : public ::testing::TestWithParam<std::tuple<int64_t, int>> {};
 
@@ -155,6 +158,10 @@ TEST_P(BERTResidueSweep, EveryResidueAndDispatchConfig) {
     config.vocab = 30;
     return models::BuildBERT(config);
   }();
+  static std::shared_ptr<vm::Executable> full = [] {
+    ir::Module mod = model.module;
+    return core::Compile(mod).executable;
+  }();
   auto [len, variants] = GetParam();
   ir::Module mod = model.module;
   core::CompileOptions opts;
@@ -163,12 +170,23 @@ TEST_P(BERTResidueSweep, EveryResidueAndDispatchConfig) {
   // Dispatch configuration is per executable — no global state to restore
   // between sweep points, and other executables are unaffected.
   ASSERT_EQ(exec->dispatch_table.num_variants(), variants);
+  ASSERT_EQ(full->dispatch_table.num_variants(), 8);
   vm::VirtualMachine machine(exec);
+  vm::VirtualMachine full_machine(full);
   support::Rng rng(200 + static_cast<uint64_t>(len));
   auto ids = models::RandomTokenIds(len, 30, rng);
-  auto out = machine.Invoke(
-      "main", {MakeTensor(NDArray::FromVector(ids, {len}))});
-  ExpectClose(AsTensor(out), models::RunBERTReference(model, ids), 5e-4f);
+  NDArray out = AsTensor(machine.Invoke(
+      "main", {MakeTensor(NDArray::FromVector(ids, {len}))}));
+  NDArray full_out = AsTensor(full_machine.Invoke(
+      "main", {MakeTensor(NDArray::FromVector(ids, {len}))}));
+  ExpectClose(out, models::RunBERTReference(model, ids), 5e-4f);
+  ASSERT_EQ(out.shape(), full_out.shape());
+  EXPECT_EQ(std::memcmp(out.data<float>(), full_out.data<float>(),
+                        static_cast<size_t>(out.num_elements()) *
+                            sizeof(float)),
+            0)
+      << "variants=" << variants << " len=" << len
+      << " differs from full dispatch";
 }
 
 INSTANTIATE_TEST_SUITE_P(

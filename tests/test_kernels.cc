@@ -51,26 +51,64 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 3, 5, 7, 8, 9, 15, 16, 17, 31),
                        ::testing::Values(4, 13), ::testing::Values(8, 21)));
 
-class DenseDispatchVariantTest : public ::testing::TestWithParam<int> {};
+// The canonical result every dense path must reproduce bit-for-bit: the
+// per-row accumulation order of MicroRow1F32.
+std::vector<float> RowReference(const NDArray& x, const NDArray& w, int64_t m,
+                                int64_t n, int64_t k) {
+  std::vector<float> ref(static_cast<size_t>(m * n));
+  for (int64_t r = 0; r < m; ++r) {
+    codegen::MicroRow1F32(x.data<float>() + r * k, w.data<float>(),
+                          ref.data() + r * n, n, k);
+  }
+  return ref;
+}
 
-TEST_P(DenseDispatchVariantTest, EveryVariantCountIsCorrect) {
-  int variants = GetParam();
-  codegen::DenseDispatchTable table(variants);
-  for (int m = 1; m <= 24; ++m) {
-    NDArray x = Rand({m, 12}, 3), w = Rand({10, 12}, 4);
-    NDArray out = NDArray::Empty({m, 10}, DataType::Float32());
-    NDArray ref = NDArray::Empty({m, 10}, DataType::Float32());
-    table.Run(x, w, out);
-    kernels::RunKernel("nn.dense_ref", {x, w}, {ref});
-    for (int64_t i = 0; i < out.num_elements(); ++i) {
-      ASSERT_NEAR(out.data<float>()[i], ref.data<float>()[i], 1e-4f)
-          << "variants=" << variants << " m=" << m;
+::testing::AssertionResult BitsEqual(const float* got, const float* want,
+                                     int64_t count) {
+  for (int64_t i = 0; i < count; ++i) {
+    uint32_t g, e;
+    std::memcpy(&g, got + i, 4);
+    std::memcpy(&e, want + i, 4);
+    if (g != e) {
+      return ::testing::AssertionFailure()
+             << "bit mismatch at " << i << ": got " << got[i] << " want "
+             << want[i];
     }
+  }
+  return ::testing::AssertionSuccess();
+}
+
+// Every dispatch configuration — the generic kernel included — computes each
+// row in MicroRow1F32's order, so every variant count gives the canonical
+// bits for every row count: full tiles, residue tails, K % 4 tails, and
+// contractions past the lane-depth limit.
+class DenseDispatchVariantTest
+    : public ::testing::TestWithParam<std::tuple<int, int64_t>> {};
+
+TEST_P(DenseDispatchVariantTest, EveryVariantCountMatchesMicroRowBits) {
+  auto [variants, k] = GetParam();
+  codegen::DenseDispatchTable table(variants);
+  for (int64_t m = 1; m <= 24; ++m) {
+    NDArray x = Rand({m, k}, 3), w = Rand({10, k}, 4);
+    std::vector<float> ref = RowReference(x, w, m, 10, k);
+    std::vector<float> out(static_cast<size_t>(m * 10), -1.0f);
+    table.Run(x.data<float>(), w.data<float>(), out.data(), m, 10, k);
+    ASSERT_TRUE(BitsEqual(out.data(), ref.data(), m * 10))
+        << "variants=" << variants << " m=" << m << " k=" << k;
+    // The NDArray entry point (which may route to the blocked kernel)
+    // keeps the same bits.
+    NDArray out_nd = NDArray::Empty({m, 10}, DataType::Float32());
+    table.Run(x, w, out_nd);
+    ASSERT_TRUE(BitsEqual(out_nd.data<float>(), ref.data(), m * 10))
+        << "variants=" << variants << " m=" << m << " k=" << k;
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Ks, DenseDispatchVariantTest,
-                         ::testing::Values(1, 2, 4, 8));
+INSTANTIATE_TEST_SUITE_P(
+    VariantsTimesDepths, DenseDispatchVariantTest,
+    ::testing::Combine(::testing::Values(1, 2, 4, 8),
+                       ::testing::Values(int64_t{3}, int64_t{12},
+                                         int64_t{128}, int64_t{1030})));
 
 TEST(DenseDispatch, StatsTrackSpecializedVsFallback) {
   codegen::DenseDispatchTable table(2);  // residues {0, 4} specialized
@@ -106,33 +144,6 @@ TEST(DenseBlocked, TunerKernelMatchesReference) {
 }
 
 // ---- tiled + parallel dense: bit-identity, routing, tuning -----------------
-
-// The canonical result every dense path must reproduce bit-for-bit: the
-// per-row accumulation order of MicroRow1F32.
-std::vector<float> RowReference(const NDArray& x, const NDArray& w, int64_t m,
-                                int64_t n, int64_t k) {
-  std::vector<float> ref(static_cast<size_t>(m * n));
-  for (int64_t r = 0; r < m; ++r) {
-    codegen::MicroRow1F32(x.data<float>() + r * k, w.data<float>(),
-                          ref.data() + r * n, n, k);
-  }
-  return ref;
-}
-
-::testing::AssertionResult BitsEqual(const float* got, const float* want,
-                                     int64_t count) {
-  for (int64_t i = 0; i < count; ++i) {
-    uint32_t g, e;
-    std::memcpy(&g, got + i, 4);
-    std::memcpy(&e, want + i, 4);
-    if (g != e) {
-      return ::testing::AssertionFailure()
-             << "bit mismatch at " << i << ": got " << got[i] << " want "
-             << want[i];
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
 
 // Every config in the search space, across shapes hitting residue tails
 // (m % 8 != 0), sub-block and block-straddling N, and K % 4 tails, must be

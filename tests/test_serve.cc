@@ -782,38 +782,36 @@ TEST(TensorBatching, RunBatchFallsBackWithoutBatchedEntry) {
   }
 }
 
-TEST(TensorBatching, AnalyzeRejectsPartialDispatchCoverage) {
-  // Partial residue coverage mixes dense kernel families across row counts,
-  // which breaks per-row bit-identity; full coverage (8) and no coverage
-  // (1) are both safe (docs/ARCHITECTURE.md).
-  std::vector<int64_t> lengths = {4, 6};
+TEST(TensorBatching, PacksUnderEveryDispatchVariantCount) {
+  // Every dense dispatch configuration computes each row in one order, so
+  // packing carries no coverage rule: a 3-row batch (residue 3, which only
+  // the full table specializes) packs under 1/2/4/8 variants, and both the
+  // packed and the per-request path match the full-dispatch sequential
+  // results bit for bit.
+  std::vector<int64_t> lengths = {4, 6, 3};
+  LSTMFixture fixture(lengths, /*hidden_size=*/12, /*seed=*/5,
+                      /*with_batched_entry=*/true);
   for (int variants : {1, 2, 4, 8}) {
-    models::LSTMConfig config;
-    config.input_size = 8;
-    config.hidden_size = 12;
-    config.emit_batched = true;
-    auto model = models::BuildLSTM(config);
-    ir::Module mod = model.module;
+    ir::Module mod = fixture.model.module;
     core::CompileOptions opts;
     opts.dense_dispatch_variants = variants;
-    opts.batched_entries = {model.batched_spec};
+    opts.batched_entries = {fixture.model.batched_spec};
     auto exec = core::Compile(mod, opts).executable;
+    ASSERT_EQ(exec->dispatch_table.num_variants(), variants);
 
-    support::Rng rng(5);
-    std::vector<serve::Request> requests;
-    for (int64_t len : lengths) {
-      serve::Request request;
-      request.args = {
-          MakeTensor(models::RandomSequence(len, config.input_size, rng)),
-          MakeTensor(NDArray::Scalar<int64_t>(len))};
-      requests.push_back(std::move(request));
-    }
-    batch::PackCheck check = batch::AnalyzeBatch(*exec, requests);
-    if (variants == 1 || variants == 8) {
-      EXPECT_TRUE(check.ok()) << "variants=" << variants << ": " << check.reason;
-    } else {
-      EXPECT_FALSE(check.ok()) << "variants=" << variants;
-      EXPECT_NE(check.reason.find("dispatch"), std::string::npos);
+    std::vector<std::future<runtime::ObjectRef>> futures;
+    serve::Batch batch = MakeDirectBatch(fixture, {0, 1, 2}, &futures);
+    batch.exec = exec;
+    vm::VirtualMachine machine(exec);
+    auto run = batch::RunBatch(machine, batch, /*tensor_batching=*/true,
+                               /*on_done=*/nullptr);
+    EXPECT_TRUE(run.packed) << "variants=" << variants << ": "
+                            << run.fallback_reason;
+    for (size_t i = 0; i < lengths.size(); ++i) {
+      SCOPED_TRACE("variants=" + std::to_string(variants));
+      ExpectBitIdentical(AsTensor(futures[i].get()), fixture.expected[i], i);
+      auto solo = machine.Invoke("main", fixture.ArgsFor(i));
+      ExpectBitIdentical(AsTensor(solo), fixture.expected[i], i);
     }
   }
 }
@@ -926,9 +924,9 @@ TEST(ExecCache, VariantPackedBitIdenticalToGenericPackedAndSequential) {
       2 * fixture.exec->functions[static_cast<size_t>(body_index)]
               .instructions.size())
       << "specialized entry should be unrolled into straight-line bytecode";
-  // The tuned table covers exactly the batch residue (8 % 8 = 0) and the
-  // per-request fallback row (1).
-  EXPECT_EQ(variant->dispatch_table.residue_mask(), 0b11u);
+  // Variants dispatch like every other executable: the compile option's
+  // full table.
+  EXPECT_EQ(variant->dispatch_table.num_variants(), 8);
 
   auto run_packed = [&](const std::shared_ptr<vm::Executable>& exec) {
     std::vector<std::future<runtime::ObjectRef>> futures;
@@ -1005,8 +1003,8 @@ TEST(ExecCache, VariantSurvivesSaveLoad) {
   auto loaded = vm::Executable::Load(buffer);
   EXPECT_EQ(loaded->variant.specialized_len, 6);
   EXPECT_EQ(loaded->variant.specialized_batch, 4);
-  EXPECT_EQ(loaded->dispatch_table.residue_mask(),
-            variant->dispatch_table.residue_mask());
+  EXPECT_EQ(loaded->dispatch_table.num_variants(),
+            variant->dispatch_table.num_variants());
   ASSERT_NE(loaded->FindBatched("main"), nullptr);
   EXPECT_EQ(loaded->FindBatched("main")->layout,
             vm::BatchedEntrySpec::Layout::kTimeMajor);

@@ -3,6 +3,7 @@
 // profiler.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <sstream>
 
 #include "src/codegen/dispatch.h"
@@ -239,11 +240,13 @@ TEST(VM, DenseDispatchReadsTheExecutablesTable) {
   // ...and neither executable's calls leaked into the other's table.
   EXPECT_EQ(exec_full->dispatch_table.stats().fallback_calls, 0);
   EXPECT_EQ(exec_none->dispatch_table.stats().specialized_calls, 0);
-  // Both dispatch paths compute the same thing (up to accumulation-order
-  // ulps — the specialized and generic kernels tile differently).
-  for (int64_t i = 0; i < out_full.num_elements(); ++i) {
-    EXPECT_NEAR(out_full.data<float>()[i], out_none.data<float>()[i], 1e-5);
-  }
+  // Both dispatch paths compute every row in one accumulation order, so
+  // they agree bit for bit.
+  ASSERT_EQ(out_full.shape(), out_none.shape());
+  EXPECT_EQ(std::memcmp(out_full.data<float>(), out_none.data<float>(),
+                        static_cast<size_t>(out_full.num_elements()) *
+                            sizeof(float)),
+            0);
 }
 
 TEST(VM, RebindSwitchesExecutables) {
@@ -343,7 +346,7 @@ TEST(Serialization, DenseConfigSurvivesRoundtrip) {
   exec->Save(buffer);
   auto reloaded = vm::Executable::Load(buffer);
   EXPECT_EQ(reloaded->dense_config, (codegen::DenseConfig{64, 128}))
-      << "a v6 executable carries its tuner-chosen blocking factors";
+      << "an executable image carries its tuner-chosen blocking factors";
   EXPECT_TRUE(reloaded->dense_config_tuned);
   // Default (untuned) executables roundtrip the default config too.
   auto plain = CompileMain(
@@ -378,22 +381,40 @@ TEST(Serialization, RejectsOtherFormatVersions) {
       MakeFunction({x}, op::Call2("add", x, FloatConst(1.0f))));
   std::stringstream buffer;
   exec->Save(buffer);
-  // The version word follows the 4-byte magic; patch it to the previous
-  // format, which the loader no longer reads.
-  std::string image = buffer.str();
-  const uint32_t old_version = 5;
-  image.replace(4, sizeof(old_version),
-                reinterpret_cast<const char*>(&old_version),
-                sizeof(old_version));
-  std::stringstream patched(image);
-  try {
-    vm::Executable::Load(patched);
-    FAIL() << "a version-5 image must not load";
-  } catch (const Error& e) {
-    EXPECT_NE(std::string(e.what()).find("unsupported executable version"),
-              std::string::npos)
-        << e.what();
+  // The version word follows the 4-byte magic; patch it to earlier
+  // formats, which the loader no longer reads.
+  for (uint32_t old_version : {5u, 6u}) {
+    std::string image = buffer.str();
+    image.replace(4, sizeof(old_version),
+                  reinterpret_cast<const char*>(&old_version),
+                  sizeof(old_version));
+    std::stringstream patched(image);
+    try {
+      vm::Executable::Load(patched);
+      FAIL() << "a version-" << old_version << " image must not load";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("unsupported executable version"),
+                std::string::npos)
+          << e.what();
+    }
   }
+}
+
+TEST(Serialization, RejectsInvalidDispatchVariantCount) {
+  Var x = MakeVar("x", ScalarType(DataType::Float32()));
+  auto exec = CompileMain(
+      MakeFunction({x}, op::Call2("add", x, FloatConst(1.0f))));
+  std::stringstream buffer;
+  exec->Save(buffer);
+  // The dispatch variant count follows magic and version; 3 does not
+  // divide the tile factor.
+  std::string image = buffer.str();
+  const uint32_t bad_variants = 3;
+  image.replace(8, sizeof(bad_variants),
+                reinterpret_cast<const char*>(&bad_variants),
+                sizeof(bad_variants));
+  std::stringstream patched(image);
+  EXPECT_THROW(vm::Executable::Load(patched), Error);
 }
 
 TEST(Serialization, ConstantsSurviveWithWeights) {
