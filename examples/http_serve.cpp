@@ -1,7 +1,7 @@
 // HTTP serving demo: the full stack from socket to executable.
 //
 //   curl -> net::HttpServer (epoll loop) -> serve::Server (queues,
-//   adaptive batching, VM pool) -> response JSON
+//   length-bucketed batching, VM pool) -> response JSON
 //
 // Default mode is a self-contained demo: it stands the server up on an
 // ephemeral loopback port, drives a handful of requests through a real
@@ -82,9 +82,9 @@ int main(int argc, char** argv) {
   compile_opts.batched_entries = {model.batched_spec};
   auto compiled = core::Compile(model.module, compile_opts);
 
-  // 2. Serving pipeline: 2 workers, bounded queue, tensor batching, and
-  //    the adaptive wait controller steering flush deadlines from the
-  //    arrival rate.
+  // 2. Serving pipeline: 2 workers, bounded queue, tensor batching; a
+  //    partial batch flushes once its oldest request has waited
+  //    max_wait_micros.
   serve::ServeConfig serve_config;
   serve_config.num_workers = 2;
   serve::Server server(serve_config);
@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
   model_config.queue_capacity = 64;
   model_config.batch.max_batch_size = 4;
   model_config.batch.tensor_batching = true;
-  model_config.batch.adaptive = true;
   server.AddModel("lstm", std::move(model_config));
   server.Start();
 

@@ -7,6 +7,7 @@
 // percentiles, batch occupancy).
 #include <cstdio>
 #include <future>
+#include <utility>
 #include <vector>
 
 #include "src/core/compiler.h"
@@ -37,13 +38,15 @@ int main() {
   //    batching on — each dispatched bucket runs as ONE padded [Lmax, B, D]
   //    invocation (src/batch/) with results bit-identical to per-request
   //    execution.
+  serve::ModelConfig model_config;
+  model_config.exec = compiled.executable;
+  model_config.queue_capacity = 32;
+  model_config.batch.max_batch_size = 4;
+  model_config.batch.max_wait_micros = 1000;
+  model_config.batch.tensor_batching = true;
   serve::ServeConfig serve_config;
   serve_config.num_workers = 4;
-  serve_config.queue_capacity = 32;
-  serve_config.batch.max_batch_size = 4;
-  serve_config.batch.max_wait_micros = 1000;
-  serve_config.batch.tensor_batching = true;
-  serve::Server server(compiled.executable, serve_config);
+  serve::Server server(std::move(model_config), serve_config);
 
   // 3. Submit a burst of variable-length requests and collect the futures.
   support::Rng rng(99);

@@ -41,18 +41,25 @@ inline constexpr int kTileRows = 8;
 /// (src/batch/pack_plan.h).
 inline void MicroRow1F32(const float* xrow, const float* w, float* outrow,
                          int64_t n_cols, int64_t k_depth) {
+  // The tail is up to three guarded adds, not a loop: GCC vectorizes a
+  // tail loop, which spills the main loop's induction variable to the
+  // stack, and at a compile-time K divisible by 4 it warns
+  // (-Waggressive-loop-optimizations) about the empty tail.
+  const int64_t k4 = k_depth - k_depth % 4;
+  const int64_t tail = k_depth - k4;
   for (int64_t n = 0; n < n_cols; ++n) {
     const float* wrow = w + n * k_depth;
     float acc[4] = {};
-    int64_t k = 0;
-    for (; k + 4 <= k_depth; k += 4) {
+    for (int64_t k = 0; k < k4; k += 4) {
       acc[0] += xrow[k + 0] * wrow[k + 0];
       acc[1] += xrow[k + 1] * wrow[k + 1];
       acc[2] += xrow[k + 2] * wrow[k + 2];
       acc[3] += xrow[k + 3] * wrow[k + 3];
     }
     float fin = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    for (int64_t kk = k; kk < k_depth; ++kk) fin += xrow[kk] * wrow[kk];
+    if (tail > 0) fin += xrow[k4] * wrow[k4];
+    if (tail > 1) fin += xrow[k4 + 1] * wrow[k4 + 1];
+    if (tail > 2) fin += xrow[k4 + 2] * wrow[k4 + 2];
     outrow[n] = fin;
   }
 }

@@ -317,7 +317,6 @@ Json SnapshotJson(const serve::StatsSnapshot& snap) {
   j.Set("failed", snap.failed);
   j.Set("rejected", snap.rejected);
   j.Set("arrivals", snap.arrivals);
-  j.Set("arrival_rate_rps", snap.arrival_rate_rps);
   j.Set("throughput_rps", snap.throughput_rps);
   j.Set("mean_latency_us", snap.mean_latency_us);
   j.Set("p50_latency_us", snap.p50_latency_us);
@@ -327,9 +326,6 @@ Json SnapshotJson(const serve::StatsSnapshot& snap) {
   j.Set("mean_queue_wait_us", snap.mean_queue_wait_us);
   j.Set("max_queue_wait_us", snap.max_queue_wait_us);
   j.Set("mean_exec_us", snap.mean_exec_us);
-  if (snap.adaptive_wait_micros > 0) {
-    j.Set("adaptive_wait_micros", snap.adaptive_wait_micros);
-  }
   j.Set("batches", snap.batches);
   j.Set("mean_batch_size", snap.mean_batch_size);
   Json hist = Json::Object();

@@ -74,7 +74,7 @@ class Counter {
   std::array<Cell, kMetricShards> cells_{};
 };
 
-/// Last-writer-wins gauge (queue depth, adaptive wait). Not sharded: gauges
+/// Last-writer-wins gauge (queue depth, memory pressure). Not sharded: gauges
 /// are set, not accumulated, and the writers are cold paths.
 class Gauge {
  public:

@@ -15,29 +15,6 @@ int BatchPolicy::BucketOf(int64_t length) const {
   return static_cast<int>(it - bucket_edges.begin());
 }
 
-int64_t AdaptiveWaitUpdate(const BatchPolicy& policy, int64_t current_wait_us,
-                           double mean_gap_us) {
-  auto clamp = [&policy](int64_t v) {
-    return std::min(policy.adaptive_max_wait_micros,
-                    std::max(policy.adaptive_min_wait_micros, v));
-  };
-  if (mean_gap_us <= 0.0) return clamp(current_wait_us);
-  // Time for a bucket to fill at the current rate: the last of
-  // max_batch_size requests arrives (size - 1) gaps after the first. A
-  // shorter wait than that flushes partial batches for nothing; a much
-  // longer one only adds latency.
-  double target = (static_cast<double>(policy.max_batch_size) - 1.0) *
-                  mean_gap_us;
-  int64_t target_us = clamp(static_cast<int64_t>(target));
-  // Move a quarter of the way per step: smooth against arrival bursts, yet
-  // a sustained rate change converges within a few scheduler wakeups. Once
-  // within rounding distance, snap (integer division would otherwise stall
-  // a few microseconds short of the target forever).
-  int64_t step = (target_us - current_wait_us) / 4;
-  if (step == 0) return target_us;
-  return clamp(current_wait_us + step);
-}
-
 bool BatchScheduler::PerModel::HasFullBucket() const {
   auto full = static_cast<size_t>(state->policy.max_batch_size);
   for (const auto& bucket : pending) {
@@ -61,22 +38,9 @@ BatchScheduler::BatchScheduler(std::vector<ModelState*> models, VMPool* pool)
     NIMBLE_CHECK(std::is_sorted(state->policy.bucket_edges.begin(),
                                 state->policy.bucket_edges.end()))
         << "bucket edges must be ascending";
-    if (state->policy.adaptive) {
-      NIMBLE_CHECK_GE(state->policy.adaptive_min_wait_micros, 0);
-      NIMBLE_CHECK_LE(state->policy.adaptive_min_wait_micros,
-                      state->policy.adaptive_max_wait_micros)
-          << "adaptive wait floor above its ceiling";
-    }
     PerModel pm;
     pm.state = state;
     pm.pending.resize(static_cast<size_t>(state->policy.num_buckets()));
-    // Adaptive models start from the configured wait (clamped into the
-    // adaptive band); fixed-policy models use it verbatim, forever.
-    pm.effective_wait_micros =
-        state->policy.adaptive
-            ? AdaptiveWaitUpdate(state->policy, state->policy.max_wait_micros,
-                                 0.0)
-            : state->policy.max_wait_micros;
     per_model_.push_back(std::move(pm));
     state->queue->set_notifier(&notifier_);
   }
@@ -107,11 +71,10 @@ int64_t BatchScheduler::Quantum(const PerModel& m) const {
 Clock::time_point BatchScheduler::NextDeadline() const {
   auto deadline = Clock::time_point::max();
   for (const PerModel& m : per_model_) {
+    auto max_wait = std::chrono::microseconds(m.state->policy.max_wait_micros);
     for (const auto& bucket : m.pending) {
       if (bucket.empty()) continue;
-      auto flush_at = bucket.front().enqueue_time +
-                      std::chrono::microseconds(m.effective_wait_micros);
-      deadline = std::min(deadline, flush_at);
+      deadline = std::min(deadline, bucket.front().enqueue_time + max_wait);
     }
   }
   if (deadline == Clock::time_point::max()) {
@@ -261,7 +224,7 @@ bool BatchScheduler::FlushExpired(Clock::time_point now) {
   bool dispatched = false;
   for (size_t k = 0; k < n; ++k) {
     PerModel& m = per_model_[(rr_ + k) % n];
-    auto max_wait = std::chrono::microseconds(m.effective_wait_micros);
+    auto max_wait = std::chrono::microseconds(m.state->policy.max_wait_micros);
     for (size_t b = 0; b < m.pending.size(); ++b) {
       while (!m.pending[b].empty() &&
              m.pending[b].front().enqueue_time + max_wait <= now) {
@@ -271,16 +234,6 @@ bool BatchScheduler::FlushExpired(Clock::time_point now) {
     }
   }
   return dispatched;
-}
-
-void BatchScheduler::UpdateAdaptiveWaits() {
-  for (PerModel& m : per_model_) {
-    if (!m.state->policy.adaptive) continue;
-    double mean_gap_us = m.state->stats.MeanInterArrivalMicros();
-    m.effective_wait_micros = AdaptiveWaitUpdate(
-        m.state->policy, m.effective_wait_micros, mean_gap_us);
-    m.state->stats.RecordAdaptiveWait(m.effective_wait_micros);
-  }
 }
 
 void BatchScheduler::FlushAll() {
@@ -297,9 +250,6 @@ void BatchScheduler::Loop() {
     // this line bumps the version, so the wait below returns immediately
     // instead of losing the wakeup.
     uint64_t seen = notifier_.version();
-    // One controller step per wakeup: the arrival EWMA only moves when
-    // requests arrive, and wakeups track exactly that.
-    UpdateAdaptiveWaits();
     // Keep rotating DRR rounds while work is dispatchable, re-draining
     // between rounds: flushes block under pool backpressure, and requests
     // admitted meanwhile must join the rotation, not wait out a backlog.

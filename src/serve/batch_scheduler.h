@@ -53,26 +53,8 @@ namespace serve {
 struct BatchPolicy {
   /// Flush a bucket as soon as it holds this many requests.
   int max_batch_size = 8;
-  /// Flush a bucket once its oldest request has waited this long. With
-  /// `adaptive` on, this is only the starting point — the scheduler then
-  /// steers the effective wait from the observed arrival rate.
+  /// Flush a bucket once its oldest request has waited this long.
   int64_t max_wait_micros = 2000;
-  /// Adaptive flush-deadline controller: nudge the effective max wait
-  /// toward the time a bucket actually needs to fill at the current
-  /// arrival rate ((max_batch_size - 1) * mean inter-arrival gap, from the
-  /// EWMA ServeStats keeps). Under heavy traffic batches fill before the
-  /// deadline and the wait shrinks toward `adaptive_min_wait_micros`, so an
-  /// abrupt lull doesn't strand the last stragglers for a stale long wait;
-  /// under light traffic the wait grows toward `adaptive_max_wait_micros`,
-  /// trading bounded latency for fuller batches. The controller moves a
-  /// quarter of the gap per scheduler wakeup (AdaptiveWaitUpdate), so one
-  /// bursty millisecond cannot whipsaw the deadline.
-  bool adaptive = false;
-  /// Floor of the adaptive wait: never flush-on-timeout sooner than this.
-  int64_t adaptive_min_wait_micros = 200;
-  /// Ceiling of the adaptive wait: the worst-case added latency the
-  /// controller may ever ask a request to pay.
-  int64_t adaptive_max_wait_micros = 50000;
   /// Run each dispatched batch as ONE padded [Lmax, B, D] VM invocation of
   /// the model's batched entry point (src/batch/), instead of looping over
   /// requests on the worker. Requires the executable to carry a
@@ -107,14 +89,6 @@ struct BatchPolicy {
   /// Index of the bucket holding `length` (edges must be sorted ascending).
   int BucketOf(int64_t length) const;
 };
-
-/// One step of the adaptive max-wait controller (pure, unit-tested):
-/// returns the new effective wait given the current one and the smoothed
-/// inter-arrival gap in microseconds. `mean_gap_us <= 0` (no signal yet)
-/// returns `current_wait_us` unchanged; the result is always clamped to
-/// [policy.adaptive_min_wait_micros, policy.adaptive_max_wait_micros].
-int64_t AdaptiveWaitUpdate(const BatchPolicy& policy, int64_t current_wait_us,
-                           double mean_gap_us);
 
 /// One registered model: a named executable plus everything the pipeline
 /// keeps per model — its own bounded admission queue (so backpressure and
@@ -182,9 +156,6 @@ class BatchScheduler {
     ModelState* state = nullptr;
     std::vector<std::deque<Request>> pending;
     int64_t deficit = 0;
-    /// Flush deadline actually applied: the policy's max_wait_micros, or
-    /// the adaptive controller's current value when the policy is adaptive.
-    int64_t effective_wait_micros = 0;
 
     bool HasFullBucket() const;
   };
@@ -206,10 +177,6 @@ class BatchScheduler {
   bool FlushExpired(Clock::time_point now);
   /// Unconditionally dispatches everything still pending (shutdown path).
   void FlushAll();
-  /// Runs one AdaptiveWaitUpdate step for every adaptive model (reading the
-  /// arrival EWMA from the model's ServeStats) and publishes the new
-  /// effective wait as a stats gauge. Called once per scheduler wakeup.
-  void UpdateAdaptiveWaits();
   /// Submits up to max_batch_size requests of model `m`'s bucket `b` to the
   /// pool (blocking on pool backpressure); returns the number dispatched.
   /// With an executable cache, first tries to carve a full same-length run

@@ -13,13 +13,8 @@ Server::Server(ServeConfig config) : config_(std::move(config)) {
   tracer_ = std::make_shared<obs::Tracer>(config_.trace);
 }
 
-Server::Server(std::shared_ptr<vm::Executable> exec, ServeConfig config)
+Server::Server(ModelConfig model, ServeConfig config)
     : Server(std::move(config)) {
-  ModelConfig model;
-  model.exec = std::move(exec);
-  model.function = config_.function;
-  model.queue_capacity = config_.queue_capacity;
-  model.batch = config_.batch;
   AddModel("default", std::move(model));
   Start();
 }
@@ -264,7 +259,8 @@ std::optional<std::future<runtime::ObjectRef>> Server::TrySubmit(
   Request request = MakeRequest(state, std::move(args), length_hint, &future);
   auto enqueue_time = request.enqueue_time;
   if (!state.queue->TryPush(request)) {
-    state.stats.RecordRejected();
+    // A closed queue (Drain) refuses too, but that is not a shed.
+    if (!state.queue->closed()) state.stats.RecordRejected();
     return std::nullopt;
   }
   state.stats.RecordEnqueue(enqueue_time);
@@ -309,7 +305,7 @@ Server::AdmitResult Server::TrySubmitCallback(
         state.queue->closed() ? AdmitStatus::kClosed : AdmitStatus::kQueueFull;
     if (result.status == AdmitStatus::kQueueFull) {
       state.stats.RecordRejected();
-      }
+    }
     return result;
   }
   state.stats.RecordEnqueue(enqueue_time);

@@ -25,8 +25,8 @@
 // backpressure, stats, and tracing are identical either way.
 //
 // Lifecycle: construct, AddModel() for each executable, Start(), then
-// Submit from any thread. The single-model convenience constructor does all
-// of that in one call and keeps the original PR-1 API working.
+// Submit from any thread. The single-model constructor does all of that in
+// one call from a ModelConfig.
 //
 // Results are identical — bit-for-bit — to running the same requests
 // sequentially through a single VirtualMachine: requests never share
@@ -112,14 +112,6 @@ struct ServeConfig {
   /// TrySubmit* at pressure >= shed_threshold (the HTTP front end's 429)
   /// before the allocators OOM.
   obs::MemoryPressureConfig memory;
-
-  // ---- single-model conveniences, used by the legacy constructor -------
-  /// Admission queue capacity for the implicitly registered model.
-  size_t queue_capacity = 256;
-  /// Batch policy for the implicitly registered model.
-  BatchPolicy batch;
-  /// Entry point for the implicitly registered model.
-  std::string function = "main";
 };
 
 class Server {
@@ -127,10 +119,10 @@ class Server {
   /// Multi-model form: construct, AddModel() each executable, Start().
   explicit Server(ServeConfig config = {});
 
-  /// Single-model convenience: registers `exec` under the name "default"
-  /// (using the config's queue_capacity/batch/function) and starts
-  /// immediately. Submit/TrySubmit without a model name route to it.
-  Server(std::shared_ptr<vm::Executable> exec, ServeConfig config = {});
+  /// Single-model convenience: registers `model` under the name "default"
+  /// and starts immediately. Submit/TrySubmit without a model name route
+  /// to it.
+  explicit Server(ModelConfig model, ServeConfig config = {});
 
   /// Drains and stops the pipeline.
   ~Server();
@@ -153,8 +145,9 @@ class Server {
                                          int64_t length_hint = 0);
 
   /// Non-blocking admission: returns an empty optional — and counts a
-  /// rejection against `model` — when its queue is full, so callers can
-  /// shed load per model. Thread-safe.
+  /// rejection against `model` — when its queue is full or memory pressure
+  /// sheds, so callers can shed load per model. After Drain() it also
+  /// returns an empty optional, without counting a rejection. Thread-safe.
   std::optional<std::future<runtime::ObjectRef>> TrySubmit(
       const std::string& model, std::vector<runtime::ObjectRef> args,
       int64_t length_hint = 0);

@@ -22,9 +22,6 @@ std::string StatsSnapshot::ToString() const {
     os << "; queue-wait mean " << mean_queue_wait_us << " us, exec mean "
        << mean_exec_us << " us";
   }
-  if (adaptive_wait_micros > 0) {
-    os << "; adaptive wait " << adaptive_wait_micros << " us";
-  }
   if (packed_batches > 0) {
     os << "; packed " << packed_batches << "/" << batches
        << " batches, padding waste " << padding_waste * 100.0 << "%";
@@ -137,9 +134,6 @@ ServeStats::ServeStats(obs::MetricRegistry& registry,
                        : obs::Histogram::BatchSizeBounds(),
         series.help);
   }
-  adaptive_wait_us_ = registry.GetGauge(
-      "nimble_adaptive_wait_us", m,
-      "Effective adaptive max-wait applied by the scheduler");
   slots_ = registry.GetGauge(
       "nimble_slots", m,
       "Rows of the persistent batch (0 when the model is not continuous)");
@@ -150,23 +144,12 @@ ServeStats::ServeStats(obs::MetricRegistry& registry,
 
 void ServeStats::RecordEnqueue(Clock::time_point when) {
   counters_[kArrivals]->Increment();
-  std::lock_guard<std::mutex> lock(arrival_mu_);
-  if (first_enqueue_ == Clock::time_point{}) first_enqueue_ = when;
-  if (last_arrival_ != Clock::time_point{} && when > last_arrival_) {
-    double gap_us =
-        std::chrono::duration<double, std::micro>(when - last_arrival_)
-            .count();
-    // EWMA with alpha 0.2: a handful of arrivals is enough to track a rate
-    // change, single outliers (one slow client) barely move it.
-    ewma_gap_us_ =
-        ewma_gap_us_ == 0.0 ? gap_us : 0.2 * gap_us + 0.8 * ewma_gap_us_;
-  }
-  if (when > last_arrival_) last_arrival_ = when;
-}
-
-double ServeStats::MeanInterArrivalMicros() const {
-  std::lock_guard<std::mutex> lock(arrival_mu_);
-  return ewma_gap_us_;
+  // Only the first arrival pins the window; later ones skip the CAS.
+  if (first_enqueue_.load(std::memory_order_relaxed) != 0) return;
+  Clock::rep unset = 0;
+  first_enqueue_.compare_exchange_strong(unset,
+                                         when.time_since_epoch().count(),
+                                         std::memory_order_relaxed);
 }
 
 const char* ServeStats::BatchHistLabel(size_t i) {
@@ -223,8 +206,6 @@ void ServeStats::RecordCompletion(double latency_us, double queue_wait_us,
 struct ServeStats::Reading {
   std::array<int64_t, kNumCounters> counters{};
   std::array<obs::HistogramSnapshot, kNumHistograms> histograms;
-  double arrival_rate_rps = 0.0;
-  int64_t adaptive_wait_us = 0;
   int64_t slots = 0;
   int64_t slot_occupancy = 0;
   Clock::time_point first_enqueue{};  // {} when nothing arrived
@@ -242,14 +223,10 @@ ServeStats::Reading ServeStats::Read() const {
   for (size_t i = 0; i < kNumHistograms; ++i) {
     r.histograms[i] = histograms_[i]->Snapshot();
   }
-  r.adaptive_wait_us = std::llround(adaptive_wait_us_->Value());
   r.slots = std::llround(slots_->Value());
   r.slot_occupancy = std::llround(slot_occupancy_->Value());
-  {
-    std::lock_guard<std::mutex> lock(arrival_mu_);
-    r.first_enqueue = first_enqueue_;
-    if (ewma_gap_us_ > 0.0) r.arrival_rate_rps = 1e6 / ewma_gap_us_;
-  }
+  r.first_enqueue = Clock::time_point(
+      Clock::duration(first_enqueue_.load(std::memory_order_relaxed)));
   r.last_completion = Clock::time_point(
       Clock::duration(last_completion_.load(std::memory_order_relaxed)));
   return r;
@@ -260,8 +237,6 @@ void ServeStats::Reading::Add(const Reading& other) {
   for (size_t i = 0; i < kNumHistograms; ++i) {
     histograms[i].Merge(other.histograms[i]);
   }
-  arrival_rate_rps += other.arrival_rate_rps;
-  adaptive_wait_us = std::max(adaptive_wait_us, other.adaptive_wait_us);
   slots += other.slots;
   slot_occupancy += other.slot_occupancy;
   if (other.first_enqueue != Clock::time_point{} &&
@@ -280,9 +255,6 @@ StatsSnapshot ServeStats::Reading::ToSnapshot() const {
   s.failed = counters[kFailed];
   s.rejected = counters[kRejected];
   s.arrivals = counters[kArrivals];
-  s.arrival_rate_rps = arrival_rate_rps;
-  s.mean_interarrival_us = Ratio(1e6, arrival_rate_rps);
-  s.adaptive_wait_micros = adaptive_wait_us;
   s.batches = batch.count;
   s.mean_batch_size = batch.Mean();
   // nimble_batch_size buckets are le 1, 2, 4, ..., 64, +Inf; the last two

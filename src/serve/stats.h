@@ -10,10 +10,9 @@
 //     series in an obs::MetricRegistry ({model="<name>"}); every Record*
 //     is a lock-free update of those instruments and nothing else, so
 //     /stats (Snapshot) is a view of exactly the numbers /metrics renders.
-//     The only state kept beside the registry is the arrival side — the
-//     inter-arrival EWMA the adaptive batch policy steers from and the
-//     first-arrival instant — under its own small lock, and the
-//     last-completion instant (one atomic), which bound elapsed_seconds.
+//     The only state kept beside the registry is the first-enqueue and
+//     last-completion instants (one atomic each, so no Record* takes a
+//     lock), which bound elapsed_seconds.
 //   - Exactness. Counters, means (histogram sum / count) and maxima
 //     (per-cell max) are exact. Percentiles are estimates from the latency
 //     histogram's log-linear buckets: never below the exact nearest-rank
@@ -32,7 +31,6 @@
 #include <array>
 #include <atomic>
 #include <cstdint>
-#include <mutex>
 #include <string>
 #include <vector>
 
@@ -45,16 +43,10 @@ namespace serve {
 struct StatsSnapshot {
   int64_t completed = 0;
   int64_t failed = 0;    // promise fulfilled with an exception
-  int64_t rejected = 0;  // shed at admission (TrySubmit on a full queue)
-  /// Requests admitted (RecordEnqueue calls) and the smoothed arrival
-  /// process: an EWMA of the inter-arrival gap and its reciprocal rate.
-  /// This is the signal the adaptive batch policy steers max_wait from.
+  int64_t rejected = 0;  // shed at admission (full queue, memory pressure)
+  /// Requests admitted (RecordEnqueue calls); the arrival rate is the
+  /// rate of nimble_arrivals_total.
   int64_t arrivals = 0;
-  double mean_interarrival_us = 0.0;  // EWMA; 0 until two arrivals
-  double arrival_rate_rps = 0.0;      // 1e6 / mean_interarrival_us
-  /// Effective max_wait_micros last applied by the scheduler's adaptive
-  /// controller (0 when the policy is not adaptive).
-  int64_t adaptive_wait_micros = 0;
   int64_t batches = 0;
   double mean_batch_size = 0.0;
   /// Batch-size histogram: dispatched batches bucketed by request count
@@ -127,22 +119,11 @@ class ServeStats {
   /// model name share its stats). `registry` must outlive this object.
   ServeStats(obs::MetricRegistry& registry, const std::string& model);
 
-  /// Called by the queue producer side; pins the start of the measurement
-  /// window at the first enqueue and feeds the arrival-rate EWMA the
-  /// adaptive batch policy reads.
+  /// Called by the queue producer side; counts the arrival and pins the
+  /// start of the measurement window at the first enqueue. Lock-free.
   void RecordEnqueue(Clock::time_point when);
 
   void RecordRejected() { counters_[kRejected]->Increment(); }
-
-  /// Smoothed inter-arrival gap in microseconds (EWMA over RecordEnqueue
-  /// timestamps); 0 until two arrivals have been observed. Thread-safe.
-  double MeanInterArrivalMicros() const;
-
-  /// Gauge set by the scheduler's adaptive controller: the effective
-  /// max_wait_micros currently applied to this model's buckets.
-  void RecordAdaptiveWait(int64_t wait_micros) {
-    adaptive_wait_us_->Set(static_cast<double>(wait_micros));
-  }
 
   /// One batch dispatched to the pool with `size` requests.
   void RecordBatch(size_t size) {
@@ -187,10 +168,10 @@ class ServeStats {
   StatsSnapshot Snapshot() const;
 
   /// The sum of `parts`, each read exactly once: counters, histogram
-  /// buckets, arrival rates, slots and occupied slots add; maxima, the
-  /// adaptive wait and the measurement window take the widest. When `each`
-  /// is non-null it receives every part's own snapshot from the same
-  /// reading, so the sum matches them field for field.
+  /// buckets, slots and occupied slots add; maxima and the measurement
+  /// window take the widest. When `each` is non-null it receives every
+  /// part's own snapshot from the same reading, so the sum matches them
+  /// field for field.
   static StatsSnapshot SnapshotSum(const std::vector<const ServeStats*>& parts,
                                    std::vector<StatsSnapshot>* each = nullptr);
 
@@ -240,16 +221,12 @@ class ServeStats {
 
   std::array<obs::Counter*, kNumCounters> counters_{};
   std::array<obs::Histogram*, kNumHistograms> histograms_{};
-  obs::Gauge* adaptive_wait_us_ = nullptr;
   obs::Gauge* slots_ = nullptr;
   obs::Gauge* slot_occupancy_ = nullptr;
 
-  /// Arrival side: a control input for the adaptive policy, not an
-  /// exported statistic, so it keeps its own lock.
-  mutable std::mutex arrival_mu_;
-  Clock::time_point first_enqueue_{};  // {} until the first arrival
-  Clock::time_point last_arrival_{};
-  double ewma_gap_us_ = 0.0;
+  /// First enqueue instant (Clock ticks; 0 until the first arrival), set
+  /// once by a relaxed CAS.
+  std::atomic<Clock::rep> first_enqueue_{0};
   /// Latest completion instant (Clock ticks), raised by a relaxed CAS.
   std::atomic<Clock::rep> last_completion_{0};
 };

@@ -689,7 +689,6 @@ TEST(HttpServe, StatsEndpointReportsPipelineAndHttpCounters) {
   serve::ModelConfig model;
   model.batch.max_batch_size = 2;
   model.batch.max_wait_micros = 500;
-  model.batch.adaptive = true;
   RunningServer rig(fixture, std::move(model));
 
   net::BlockingHttpClient client("127.0.0.1", rig.http.port());
@@ -712,8 +711,6 @@ TEST(HttpServe, StatsEndpointReportsPipelineAndHttpCounters) {
   EXPECT_GT(lstm->Find("p99_latency_us")->number(), 0.0);
   EXPECT_GE(lstm->Find("mean_queue_wait_us")->number(), 0.0);
   EXPECT_GT(lstm->Find("mean_exec_us")->number(), 0.0);
-  EXPECT_GT(lstm->Find("adaptive_wait_micros")->integer(), 0)
-      << "adaptive controller gauge surfaces over HTTP";
   EXPECT_NE(lstm->Find("queue_depth"), nullptr);
   EXPECT_EQ(lstm->Find("queue_capacity")->integer(), 256);
   ASSERT_TRUE(lstm->Find("batch_size_hist")->is_object());

@@ -760,10 +760,12 @@ TEST(Obs, ServedRequestYieldsOrderedTraceWithExecProfile) {
   auto exec = BuildSmallLSTM(/*batched=*/true);
   serve::ServeConfig config;
   config.num_workers = 2;
-  config.batch.max_batch_size = 4;
-  config.batch.max_wait_micros = 500;
-  config.batch.tensor_batching = true;
-  serve::Server server(exec, config);
+  serve::ModelConfig model;
+  model.exec = exec;
+  model.batch.max_batch_size = 4;
+  model.batch.max_wait_micros = 500;
+  model.batch.tensor_batching = true;
+  serve::Server server(std::move(model), config);
 
   support::Rng rng(5);
   constexpr int kRequests = 8;
@@ -810,7 +812,7 @@ TEST(Obs, TracingOffServesWithoutCommittingTraces) {
   serve::ServeConfig config;
   config.num_workers = 1;
   config.trace.enabled = false;
-  serve::Server server(exec, config);
+  serve::Server server(serve::ModelConfig{exec}, config);
 
   support::Rng rng(6);
   NDArray x = models::RandomSequence(5, 8, rng);
@@ -827,7 +829,7 @@ TEST(Obs, ServerMetricsCountersMatchServeStats) {
   auto exec = BuildSmallLSTM();
   serve::ServeConfig config;
   config.num_workers = 1;
-  serve::Server server(exec, config);
+  serve::Server server(serve::ModelConfig{exec}, config);
 
   support::Rng rng(8);
   constexpr int kRequests = 5;
@@ -1014,7 +1016,7 @@ TEST(Memory, DebugMemoryJsonIsValidAndMetricsCarryFamilies) {
   auto exec = BuildSmallLSTM();
   serve::ServeConfig config;
   config.num_workers = 1;
-  serve::Server server(exec, config);
+  serve::Server server(serve::ModelConfig{exec}, config);
   net::InferenceHandler handler(&server);
 
   support::Rng rng(21);

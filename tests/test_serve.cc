@@ -188,10 +188,12 @@ TEST(Serve, ConcurrentClientsMatchSequentialBitIdentical) {
 
   serve::ServeConfig config;
   config.num_workers = 4;
-  config.queue_capacity = 16;
-  config.batch.max_batch_size = 4;
-  config.batch.max_wait_micros = 500;
-  serve::Server server(fixture.exec, config);
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.queue_capacity = 16;
+  model.batch.max_batch_size = 4;
+  model.batch.max_wait_micros = 500;
+  serve::Server server(std::move(model), config);
 
   // Many client threads submit interleaved slices of the workload.
   std::vector<std::future<runtime::ObjectRef>> futures(kRequests);
@@ -233,11 +235,13 @@ TEST(Serve, BucketedBatchingPreservesPerRequestOutputs) {
 
   serve::ServeConfig config;
   config.num_workers = 2;
-  config.batch.max_batch_size = 8;
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.batch.max_batch_size = 8;
   // Generous wait so batches actually fill and bucketing is exercised.
-  config.batch.max_wait_micros = 50000;
-  config.batch.bucket_edges = {8, 16, 32};
-  serve::Server server(fixture.exec, config);
+  model.batch.max_wait_micros = 50000;
+  model.batch.bucket_edges = {8, 16, 32};
+  serve::Server server(std::move(model), config);
 
   std::vector<std::future<runtime::ObjectRef>> futures;
   futures.reserve(lengths.size());
@@ -269,8 +273,10 @@ TEST(Serve, ShutdownFulfillsEveryOutstandingFuture) {
   LSTMFixture fixture(8);
   serve::ServeConfig config;
   config.num_workers = 2;
-  config.batch.max_wait_micros = 100000;  // rely on shutdown flush, not timer
-  serve::Server server(fixture.exec, config);
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.batch.max_wait_micros = 100000;  // rely on shutdown flush, not timer
+  serve::Server server(std::move(model), config);
   std::vector<std::future<runtime::ObjectRef>> futures;
   for (size_t i = 0; i < 8; ++i) {
     futures.push_back(server.Submit(fixture.ArgsFor(i), fixture.lengths[i]));
@@ -286,8 +292,10 @@ TEST(Serve, TrySubmitShedsLoadAndCountsRejections) {
   LSTMFixture fixture(4);
   serve::ServeConfig config;
   config.num_workers = 1;
-  config.queue_capacity = 1;
-  serve::Server server(fixture.exec, config);
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.queue_capacity = 1;
+  serve::Server server(std::move(model), config);
 
   // Saturate: with a capacity-1 queue, offered load beyond what one worker
   // drains instantly must eventually bounce.
@@ -344,7 +352,7 @@ TEST(Serve, ResultsOutliveServerAndPool) {
   LSTMFixture fixture(1);
   runtime::ObjectRef out;
   {
-    serve::Server server(fixture.exec);
+    serve::Server server(serve::ModelConfig{fixture.exec});
     out = server.Submit(fixture.ArgsFor(0), fixture.lengths[0]).get();
   }  // server, scheduler, pool all gone
   ExpectBitIdentical(AsTensor(out), fixture.expected[0], 0);
@@ -521,9 +529,11 @@ TEST(Serve, CompileWhileServingKeepsResultsBitIdentical) {
 
   serve::ServeConfig config;
   config.num_workers = 2;
-  config.batch.max_batch_size = 4;
-  config.batch.max_wait_micros = 500;
-  serve::Server server(fixture.exec, config);
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.batch.max_batch_size = 4;
+  model.batch.max_wait_micros = 500;
+  serve::Server server(std::move(model), config);
 
   std::atomic<bool> stop{false};
   std::thread compiler_thread([&] {
@@ -647,11 +657,13 @@ TEST(TensorBatching, PackedServingBitIdenticalAcrossRaggedBuckets) {
 
   serve::ServeConfig config;
   config.num_workers = 2;
-  config.batch.max_batch_size = 8;
-  config.batch.max_wait_micros = 50000;
-  config.batch.bucket_edges = {8, 16, 32};
-  config.batch.tensor_batching = true;
-  serve::Server server(fixture.exec, config);
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.batch.max_batch_size = 8;
+  model.batch.max_wait_micros = 50000;
+  model.batch.bucket_edges = {8, 16, 32};
+  model.batch.tensor_batching = true;
+  serve::Server server(std::move(model), config);
 
   std::vector<std::future<runtime::ObjectRef>> futures;
   for (size_t i = 0; i < lengths.size(); ++i) {
@@ -685,11 +697,13 @@ TEST(TensorBatching, MultiLayerPackedServingBitIdentical) {
 
   serve::ServeConfig config;
   config.num_workers = 1;
-  config.batch.max_batch_size = 8;
-  config.batch.max_wait_micros = 50000;
-  config.batch.bucket_edges = {8, 16, 32};
-  config.batch.tensor_batching = true;
-  serve::Server server(fixture.exec, config);
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.batch.max_batch_size = 8;
+  model.batch.max_wait_micros = 50000;
+  model.batch.bucket_edges = {8, 16, 32};
+  model.batch.tensor_batching = true;
+  serve::Server server(std::move(model), config);
 
   std::vector<std::future<runtime::ObjectRef>> futures;
   for (size_t i = 0; i < lengths.size(); ++i) {
@@ -835,10 +849,12 @@ TEST(TensorBatching, BatchedSpecSurvivesSaveLoad) {
   // The loaded executable must serve packed batches bit-identically too.
   serve::ServeConfig config;
   config.num_workers = 1;
-  config.batch.max_batch_size = 4;
-  config.batch.max_wait_micros = 50000;
-  config.batch.tensor_batching = true;
-  serve::Server server(loaded, config);
+  serve::ModelConfig model;
+  model.exec = loaded;
+  model.batch.max_batch_size = 4;
+  model.batch.max_wait_micros = 50000;
+  model.batch.tensor_batching = true;
+  serve::Server server(std::move(model), config);
   std::vector<std::future<runtime::ObjectRef>> futures;
   for (size_t i = 0; i < lengths.size(); ++i) {
     // One length hint => one bucket => one packed batch of 3.
@@ -1510,77 +1526,6 @@ TEST(RequestQueue, EnqueueRacingCloseEitherLandsOrFailsCleanly) {
   EXPECT_EQ(drained, accepted.load());
 }
 
-// ---- adaptive batch policy ----------------------------------------------------
-
-TEST(AdaptiveBatchPolicy, UpdateStepsTowardFillTimeAndClamps) {
-  serve::BatchPolicy policy;
-  policy.max_batch_size = 8;
-  policy.adaptive = true;
-  policy.adaptive_min_wait_micros = 100;
-  policy.adaptive_max_wait_micros = 10000;
-
-  // No arrival signal: unchanged (but clamped into the band).
-  EXPECT_EQ(serve::AdaptiveWaitUpdate(policy, 2000, 0.0), 2000);
-  EXPECT_EQ(serve::AdaptiveWaitUpdate(policy, 50, 0.0), 100);
-  EXPECT_EQ(serve::AdaptiveWaitUpdate(policy, 50000, 0.0), 10000);
-
-  // Fast arrivals (gap 10us): target (8-1)*10 = 70 -> clamped to 100; a
-  // long current wait moves a quarter of the way down per step.
-  int64_t wait = 8000;
-  wait = serve::AdaptiveWaitUpdate(policy, wait, 10.0);
-  EXPECT_EQ(wait, 8000 + (100 - 8000) / 4);
-  for (int i = 0; i < 64; ++i) {
-    wait = serve::AdaptiveWaitUpdate(policy, wait, 10.0);
-  }
-  EXPECT_EQ(wait, 100) << "converges to the floor under heavy traffic";
-
-  // Slow arrivals (gap 100ms): target clamps to the ceiling and the wait
-  // climbs toward it.
-  for (int i = 0; i < 64; ++i) {
-    wait = serve::AdaptiveWaitUpdate(policy, wait, 100000.0);
-  }
-  EXPECT_EQ(wait, 10000) << "converges to the cap under light traffic";
-
-  // Moderate rate (gap 500us): target (8-1)*500 = 3500, inside the band.
-  wait = 3500;
-  EXPECT_EQ(serve::AdaptiveWaitUpdate(policy, wait, 500.0), 3500)
-      << "at target: stable";
-}
-
-TEST(AdaptiveBatchPolicy, ServerTracksArrivalRateAndPublishesGauge) {
-  LSTMFixture fixture(24);
-  serve::ServeConfig config;
-  config.num_workers = 2;
-  serve::Server server(config);
-  serve::ModelConfig model;
-  model.exec = fixture.exec;
-  model.batch.max_batch_size = 4;
-  model.batch.max_wait_micros = 2000;
-  model.batch.adaptive = true;
-  model.batch.adaptive_min_wait_micros = 100;
-  model.batch.adaptive_max_wait_micros = 20000;
-  server.AddModel("m", std::move(model));
-  server.Start();
-
-  std::vector<std::future<runtime::ObjectRef>> futures;
-  for (size_t i = 0; i < fixture.lengths.size(); ++i) {
-    futures.push_back(
-        server.Submit("m", fixture.ArgsFor(i), fixture.lengths[i]));
-  }
-  for (size_t i = 0; i < futures.size(); ++i) {
-    ExpectBitIdentical(AsTensor(futures[i].get()), fixture.expected[i], i);
-  }
-  server.Shutdown();
-
-  auto snap = server.stats("m");
-  EXPECT_EQ(snap.completed, static_cast<int64_t>(fixture.lengths.size()));
-  EXPECT_EQ(snap.arrivals, static_cast<int64_t>(fixture.lengths.size()));
-  EXPECT_GT(snap.mean_interarrival_us, 0.0);
-  EXPECT_GT(snap.arrival_rate_rps, 0.0);
-  EXPECT_GE(snap.adaptive_wait_micros, 100);
-  EXPECT_LE(snap.adaptive_wait_micros, 20000);
-}
-
 // ---- callback completion path and graceful drain ------------------------------
 
 TEST(Serve, CallbackPathDeliversResultsBitIdentical) {
@@ -1627,7 +1572,7 @@ TEST(Serve, TrySubmitCallbackReportsUnknownModelAndDraining) {
   LSTMFixture fixture(1);
   serve::ServeConfig config;
   config.num_workers = 1;
-  serve::Server server(fixture.exec, config);
+  serve::Server server(serve::ModelConfig{fixture.exec}, config);
 
   auto unknown = server.TrySubmitCallback(
       "nope", fixture.ArgsFor(0), fixture.lengths[0],
@@ -1644,6 +1589,26 @@ TEST(Serve, TrySubmitCallbackReportsUnknownModelAndDraining) {
         FAIL();
       });
   EXPECT_EQ(closed.status, serve::Server::AdmitStatus::kClosed);
+}
+
+TEST(Serve, TrySubmitAfterDrainIsNotARejection) {
+  // `rejected` counts sheds (full queue, memory pressure); a draining
+  // server refusing intake is not one, on either admission path.
+  LSTMFixture fixture(1);
+  serve::ServeConfig config;
+  config.num_workers = 1;
+  serve::Server server(serve::ModelConfig{fixture.exec}, config);
+  server.Drain();
+  EXPECT_FALSE(
+      server.TrySubmit(fixture.ArgsFor(0), fixture.lengths[0]).has_value());
+  auto closed = server.TrySubmitCallback(
+      "default", fixture.ArgsFor(0), fixture.lengths[0],
+      [](runtime::ObjectRef, std::exception_ptr, const obs::TraceContext&) {
+        FAIL();
+      });
+  EXPECT_EQ(closed.status, serve::Server::AdmitStatus::kClosed);
+  EXPECT_EQ(server.stats().rejected, 0);
+  EXPECT_EQ(server.stats().arrivals, 0);
 }
 
 TEST(Serve, DrainFulfillsEveryQueuedRequestDeterministically) {
@@ -1705,21 +1670,54 @@ TEST(ServeStats, QueueWaitPlusExecEqualsEndToEndLatency) {
                    snap.mean_latency_us);
 }
 
-TEST(ServeStats, ArrivalEwmaTracksGap) {
+TEST(ServeStats, ArrivalsCountIntoTheRegistryAndPinTheWindow) {
   obs::MetricRegistry registry;
   serve::ServeStats stats(registry, "m");
   auto t = serve::Clock::now();
-  EXPECT_DOUBLE_EQ(stats.MeanInterArrivalMicros(), 0.0) << "no signal yet";
-  stats.RecordEnqueue(t);
-  EXPECT_DOUBLE_EQ(stats.MeanInterArrivalMicros(), 0.0) << "one arrival";
-  for (int i = 1; i <= 50; ++i) {
+  for (int i = 0; i <= 50; ++i) {
     stats.RecordEnqueue(t + std::chrono::microseconds(200) * i);
   }
-  // Constant 200us spacing: the EWMA settles on exactly that.
-  EXPECT_NEAR(stats.MeanInterArrivalMicros(), 200.0, 1e-6);
+  stats.RecordCompletion(1.0, 0.5, 0.5, /*ok=*/true,
+                         t + std::chrono::milliseconds(10));
   auto snap = stats.Snapshot();
   EXPECT_EQ(snap.arrivals, 51);
-  EXPECT_NEAR(snap.arrival_rate_rps, 5000.0, 1e-3);
+  EXPECT_EQ(snap.arrivals,
+            registry.GetCounter("nimble_arrivals_total", {{"model", "m"}})
+                ->Value());
+  // The first arrival opens the measurement window; later ones leave it.
+  EXPECT_NEAR(snap.elapsed_seconds, 0.010, 1e-9);
+}
+
+TEST(ServeStats, ConcurrentEnqueuesAndSnapshotsStayConsistent) {
+  // Admission takes no lock: producers only bump a counter and CAS the
+  // window start, while a reader snapshots concurrently (run under TSan).
+  obs::MetricRegistry registry;
+  serve::ServeStats stats(registry, "m");
+  constexpr int kThreads = 4;
+  constexpr int kPerThread = 2000;
+  std::atomic<bool> done{false};
+  std::thread reader([&] {
+    while (!done.load()) {
+      auto snap = stats.Snapshot();
+      EXPECT_GE(snap.arrivals, 0);
+      EXPECT_GE(snap.elapsed_seconds, 0.0);
+    }
+  });
+  std::vector<std::thread> producers;
+  for (int p = 0; p < kThreads; ++p) {
+    producers.emplace_back([&] {
+      for (int i = 0; i < kPerThread; ++i) {
+        stats.RecordEnqueue(serve::Clock::now());
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  stats.RecordCompletion(1.0, 0.5, 0.5, /*ok=*/true, serve::Clock::now());
+  done.store(true);
+  reader.join();
+  auto snap = stats.Snapshot();
+  EXPECT_EQ(snap.arrivals, kThreads * kPerThread);
+  EXPECT_GE(snap.elapsed_seconds, 0.0);
 }
 
 TEST(ServeStats, SnapshotIsAViewOfTheRegistry) {
@@ -1777,9 +1775,11 @@ TEST(Memory, DrainReturnsWorkerLiveBytesToZero) {
   LSTMFixture fixture(lengths, 12, 31, /*with_batched_entry=*/true);
   serve::ServeConfig config;
   config.num_workers = 2;
-  config.batch.tensor_batching = true;
-  config.batch.bucket_edges = {8, 16};
-  serve::Server server(fixture.exec, config);
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.batch.tensor_batching = true;
+  model.batch.bucket_edges = {8, 16};
+  serve::Server server(std::move(model), config);
 
   std::vector<std::future<runtime::ObjectRef>> futures;
   for (size_t i = 0; i < lengths.size(); ++i) {
