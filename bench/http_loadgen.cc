@@ -1,10 +1,10 @@
 // Closed-loop HTTP load generator: the whole stack over loopback.
 //
-// Measures what ISSUE 5 makes measurable for the first time — requests
-// flowing socket -> epoll loop -> codec -> RequestQueue -> batch scheduler
-// -> packed VM execution -> response — and compares the sustained req/s
-// against the same pipeline driven in-process (serve_throughput's packed
-// path at batch 8), so the front end's overhead is a number, not a hope.
+// Measures requests flowing socket -> epoll loop -> codec -> RequestQueue
+// -> batch scheduler -> packed VM execution -> response, and compares the
+// sustained req/s against the same pipeline driven in-process (packed
+// tensor batching at batch 8, same executable and config), so the front
+// end's overhead is a number, not a hope.
 //
 // Three phases, each validated against sequential single-VM execution
 // (bit-identical bytes — throughput with wrong answers is not throughput):
@@ -36,11 +36,17 @@
 // configures a generous memory soft limit (1 GiB — never trips at this
 // scale) so the pressure plane polls and exports for real.
 //
-// --trace-overhead additionally A/B-measures the cost of always-on
-// telemetry: alternating closed-loop runs with tracing AND the memory
-// ledgers enabled vs both disabled (best-of per configuration, so
-// scheduler noise can't masquerade as overhead); CI fails when telemetry
-// costs more than 3% of peak req/s.
+// --trace-overhead additionally A/B-measures two observability costs,
+// each as alternating on/off runs keeping the best of 2 per configuration
+// (so scheduler noise can't masquerade as overhead):
+//   - telemetry: closed-loop HTTP runs with tracing AND the memory ledgers
+//     enabled vs both disabled ("trace_overhead" in BENCH_http.json);
+//   - step journal: unpaced in-process bursts of a 70/30 short/long mix
+//     into a continuous model (hidden 128, 8 slots) with tracing AND the
+//     per-step journal enabled vs both disabled, so the runner is
+//     step-bound — the worst case for a per-step Push
+//     ("step_journal_overhead").
+// scripts/check_metrics.sh holds both to 3% of peak req/s.
 #include <algorithm>
 #include <atomic>
 #include <chrono>
@@ -70,8 +76,8 @@ namespace {
 
 using Clock = std::chrono::steady_clock;
 
-/// Production-mix lengths (mirrors serve_throughput): traffic concentrated
-/// on recurring exact lengths, several sharing one scheduler bucket.
+/// Production-mix lengths: traffic concentrated on recurring exact lengths,
+/// several sharing one scheduler bucket.
 std::vector<int64_t> SampleProductionMixLengths(int count, support::Rng& rng) {
   const int64_t hot[] = {18, 22, 27, 30, 35, 38, 59, 62};
   const int weight[] = {22, 18, 15, 12, 11, 9, 7, 6};  // percent
@@ -93,9 +99,22 @@ std::vector<int64_t> SampleProductionMixLengths(int count, support::Rng& rng) {
   return lengths;
 }
 
+/// Short/long mix for the step-journal arm: 70% short (4-8 steps), 30%
+/// long (48-64 steps), so rows retire and splice at uneven steps.
+std::vector<int64_t> SampleShortLongMixLengths(int count, support::Rng& rng) {
+  std::vector<int64_t> lengths;
+  lengths.reserve(count);
+  for (int i = 0; i < count; ++i) {
+    bool is_short = rng.Next() % 10 < 7;
+    lengths.push_back(is_short ? rng.UniformInt(4, 8)
+                               : rng.UniformInt(48, 64));
+  }
+  return lengths;
+}
+
 struct Workload {
   std::shared_ptr<vm::Executable> exec;
-  int64_t input_size = 128;
+  int64_t input_size = 0;
   std::vector<int64_t> lengths;
   std::vector<runtime::NDArray> inputs;
   std::vector<runtime::NDArray> expected;  // sequential single-VM results
@@ -105,19 +124,22 @@ struct Workload {
   std::vector<std::string> json_bodies;
 };
 
-Workload MakeWorkload(int requests) {
+/// Compiles the LSTM (batched and step twins stamped) and draws one input
+/// per length from `rng`.
+Workload MakeWorkload(std::vector<int64_t> lengths, int64_t input_size,
+                      int64_t hidden_size, support::Rng& rng) {
   Workload w;
+  w.input_size = input_size;
   models::LSTMConfig config;
-  config.input_size = w.input_size;
-  config.hidden_size = 256;
+  config.input_size = input_size;
+  config.hidden_size = hidden_size;
   config.emit_batched = true;
   auto model = models::BuildLSTM(config);
   core::CompileOptions opts;
   opts.batched_entries = {model.batched_spec};
   w.exec = core::Compile(model.module, opts).executable;
 
-  support::Rng rng(29);
-  w.lengths = SampleProductionMixLengths(requests, rng);
+  w.lengths = std::move(lengths);
   vm::VirtualMachine sequential(w.exec);
   for (int64_t len : w.lengths) {
     runtime::NDArray x = models::RandomSequence(len, config.input_size, rng);
@@ -165,27 +187,27 @@ serve::ModelConfig MakeModelConfig(const Workload& w, size_t queue_capacity,
   return model;
 }
 
-/// Phase 1: repeated burst submission straight into the server (the
-/// serve_throughput packed-path shape: deep queue, batch 8, 1 worker).
+/// Burst submission of every request straight into a server serving
+/// `model`, repeated until `seconds` have passed (at least one burst). Phase
+/// 1 runs it on the packed path (deep queue, batch 8); the step-journal arm
+/// runs single bursts on a continuous model.
 struct InprocResult {
   double rps = 0.0;
   double p99_us = 0.0;
   bool correct = true;
 };
 
-InprocResult RunInprocess(const Workload& w, int workers, int max_batch,
-                          double seconds) {
-  serve::ServeConfig config;
-  config.num_workers = workers;
+InprocResult RunInprocess(const Workload& w, const serve::ServeConfig& config,
+                          serve::ModelConfig model, double seconds) {
   serve::Server server(config);
-  server.AddModel("m", MakeModelConfig(w, 256, max_batch));
+  server.AddModel("m", std::move(model));
   server.Start();
 
   InprocResult result;
   int64_t completed = 0;
   auto t0 = Clock::now();
   auto deadline = t0 + std::chrono::duration<double>(seconds);
-  while (Clock::now() < deadline) {
+  do {
     std::vector<std::future<runtime::ObjectRef>> futures;
     futures.reserve(w.inputs.size());
     for (size_t i = 0; i < w.inputs.size(); ++i) {
@@ -206,7 +228,7 @@ InprocResult RunInprocess(const Workload& w, int workers, int max_batch,
       }
       completed++;
     }
-  }
+  } while (Clock::now() < deadline);
   double elapsed = std::chrono::duration<double>(Clock::now() - t0).count();
   server.Drain();
   result.rps = static_cast<double>(completed) / elapsed;
@@ -370,48 +392,81 @@ bool DumpEndpoint(uint16_t port, const std::string& target,
   return true;
 }
 
-/// --trace-overhead: peak closed-loop req/s with tracing on vs off,
-/// alternating short runs and keeping each configuration's best so one
-/// noisy run can't fake (or hide) an overhead.
-struct TraceOverheadResult {
+/// --trace-overhead: peak req/s with an observability feature on vs off.
+struct OverheadResult {
   double rps_on = 0.0;
   double rps_off = 0.0;
   double overhead_pct = 0.0;
 };
 
-TraceOverheadResult MeasureTraceOverhead(const Workload& w, int workers,
-                                         int max_batch, int clients,
-                                         double seconds, bool json_body) {
-  TraceOverheadResult result;
-  constexpr int kRounds = 2;
-  double per_run = seconds / (2 * kRounds);
-  for (int round = 0; round < kRounds; ++round) {
-    for (bool tracing : {true, false}) {
-      serve::ServeConfig config;
-      config.num_workers = workers;
-      config.trace.enabled = tracing;
-      // The memory ledgers toggle with tracing, so the A/B prices the whole
-      // telemetry plane (copy ledger + pool events), not tracing alone.
-      obs::SetMemoryTelemetryEnabled(tracing);
-      serve::Server server(config);
-      server.AddModel("m", MakeModelConfig(w, 256, max_batch));
-      server.Start();
-      net::HttpServer front(&server);
-      front.Start();
-      HttpResult run = RunHttpClosedLoop(w, front.port(), clients, per_run,
-                                         json_body);
-      front.Stop();
-      server.Drain();
-      double& best = tracing ? result.rps_on : result.rps_off;
-      best = std::max(best, run.rps);
+constexpr int kOverheadRounds = 2;
+
+/// Alternates `run(true)` / `run(false)` for kOverheadRounds rounds and
+/// keeps each configuration's best req/s, so one noisy run can't fake (or
+/// hide) an overhead.
+template <typename Run>
+OverheadResult AlternateBestOf(Run run) {
+  OverheadResult result;
+  for (int round = 0; round < kOverheadRounds; ++round) {
+    for (bool on : {true, false}) {
+      double& best = on ? result.rps_on : result.rps_off;
+      best = std::max(best, run(on));
     }
   }
-  obs::SetMemoryTelemetryEnabled(true);
   if (result.rps_off > 0.0) {
     result.overhead_pct = std::max(
         0.0, (result.rps_off - result.rps_on) / result.rps_off * 100.0);
   }
   return result;
+}
+
+/// Telemetry arm: closed-loop HTTP req/s with tracing and the memory
+/// ledgers on vs off.
+OverheadResult MeasureTraceOverhead(const Workload& w, int workers,
+                                    int max_batch, int clients,
+                                    double seconds, bool json_body) {
+  double per_run = seconds / (2 * kOverheadRounds);
+  OverheadResult result = AlternateBestOf([&](bool tracing) {
+    serve::ServeConfig config;
+    config.num_workers = workers;
+    config.trace.enabled = tracing;
+    // The memory ledgers toggle with tracing, so the A/B prices the whole
+    // telemetry plane (copy ledger + pool events), not tracing alone.
+    obs::SetMemoryTelemetryEnabled(tracing);
+    serve::Server server(config);
+    server.AddModel("m", MakeModelConfig(w, 256, max_batch));
+    server.Start();
+    net::HttpServer front(&server);
+    front.Start();
+    HttpResult run =
+        RunHttpClosedLoop(w, front.port(), clients, per_run, json_body);
+    front.Stop();
+    server.Drain();
+    return run.rps;
+  });
+  obs::SetMemoryTelemetryEnabled(true);
+  return result;
+}
+
+/// Step-journal arm: one unpaced in-process burst of `mix` per run into an
+/// 8-slot continuous model, with tracing and the step journal on vs off.
+/// Clears `correct` if any burst's results diverge from sequential.
+OverheadResult MeasureStepJournalOverhead(const Workload& mix,
+                                          bool* correct) {
+  return AlternateBestOf([&](bool obs_on) {
+    serve::ServeConfig config;
+    config.num_workers = 2;
+    config.trace.enabled = obs_on;
+    config.step_journal.enabled = obs_on;
+    serve::ModelConfig model;
+    model.exec = mix.exec;
+    model.queue_capacity = mix.inputs.size() + 1;
+    model.batch.continuous = true;
+    model.batch.continuous_slots = 8;
+    InprocResult run = RunInprocess(mix, config, std::move(model), 0.0);
+    *correct = *correct && run.correct;
+    return run.rps;
+  });
 }
 
 }  // namespace
@@ -459,10 +514,15 @@ int main(int argc, char** argv) {
       std::to_string(kBatch) + ", " + std::to_string(workers) +
       " worker(s), " + std::to_string(clients) + " closed-loop clients, " +
       (json_body ? "JSON" : "binary") + " bodies");
-  Workload w = MakeWorkload(requests);
+  support::Rng rng(29);
+  Workload w = MakeWorkload(SampleProductionMixLengths(requests, rng),
+                            /*input_size=*/128, /*hidden_size=*/256, rng);
 
   // Phase 1: in-process packed baseline.
-  InprocResult inproc = RunInprocess(w, workers, kBatch, seconds);
+  serve::ServeConfig inproc_config;
+  inproc_config.num_workers = workers;
+  InprocResult inproc = RunInprocess(w, inproc_config,
+                                     MakeModelConfig(w, 256, kBatch), seconds);
   std::printf("in-process packed: %9.1f req/s   p99 %7.0f us   %s\n",
               inproc.rps, inproc.p99_us,
               inproc.correct ? "bit-identical" : "WRONG RESULTS");
@@ -587,8 +647,11 @@ int main(int argc, char** argv) {
               overload_clean ? "OK (shed as 429, zero 5xx/drops)"
                              : "FAILED");
 
-  // Optional phase 4: what does always-on tracing cost?
-  TraceOverheadResult overhead;
+  // Optional phase 4: what do always-on telemetry and the step journal
+  // cost?
+  OverheadResult overhead;
+  OverheadResult journal_overhead;
+  bool journal_correct = true;
   if (trace_overhead) {
     bench::PrintHeader("telemetry overhead: alternating tracing+memory "
                        "ledgers on/off, best of 2 runs each");
@@ -598,9 +661,27 @@ int main(int argc, char** argv) {
         "telemetry on %.1f req/s, off %.1f req/s -> overhead %.2f%% "
         "(budget 3%%)\n",
         overhead.rps_on, overhead.rps_off, overhead.overhead_pct);
+
+    const int kMixRequests = 96;
+    bench::PrintHeader(
+        "step-journal overhead: continuous burst of " +
+        std::to_string(kMixRequests) +
+        " requests (70% short / 30% long, in 64, hidden 128, 8 slots), "
+        "tracing+journal on/off, best of 2 runs each");
+    support::Rng mix_rng(43);
+    Workload mix = MakeWorkload(
+        SampleShortLongMixLengths(kMixRequests, mix_rng),
+        /*input_size=*/64, /*hidden_size=*/128, mix_rng);
+    journal_overhead = MeasureStepJournalOverhead(mix, &journal_correct);
+    std::printf(
+        "step journal on %.1f req/s, off %.1f req/s -> overhead %.2f%% "
+        "(budget 3%%), results %s\n",
+        journal_overhead.rps_on, journal_overhead.rps_off,
+        journal_overhead.overhead_pct,
+        journal_correct ? "bit-identical" : "WRONG");
   }
 
-  bool correct = inproc.correct && http.mismatched == 0 &&
+  bool correct = inproc.correct && journal_correct && http.mismatched == 0 &&
                  http.transport_errors == 0 && http.server_5xx == 0;
   if (write_json) {
     FILE* f = std::fopen("BENCH_http.json", "w");
@@ -652,8 +733,13 @@ int main(int argc, char** argv) {
       std::fprintf(
           f,
           ",\n  \"trace_overhead\": {\"rps_on\": %.1f, \"rps_off\": %.1f,\n"
-          "                     \"overhead_pct\": %.2f}",
-          overhead.rps_on, overhead.rps_off, overhead.overhead_pct);
+          "                     \"overhead_pct\": %.2f},\n"
+          "  \"step_journal_overhead\": {\"rps_on\": %.1f, "
+          "\"rps_off\": %.1f,\n"
+          "                            \"overhead_pct\": %.2f}",
+          overhead.rps_on, overhead.rps_off, overhead.overhead_pct,
+          journal_overhead.rps_on, journal_overhead.rps_off,
+          journal_overhead.overhead_pct);
     }
     std::fprintf(f, "\n}\n");
     std::fclose(f);

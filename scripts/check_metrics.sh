@@ -27,7 +27,9 @@
 #     on the exercised path recorded traffic, pressure reads 0 under the
 #     generous soft limit, and the /debug/memory export (MEMORY.json)
 #     agrees with the /metrics exposition byte for byte;
-#   - when --trace-overhead ran: telemetry costs <= 3% of peak req/s.
+#   - when --trace-overhead ran: telemetry (tracing + memory ledgers) costs
+#     <= 3% of peak HTTP req/s, and tracing + the step journal cost <= 3%
+#     of the continuous path's burst req/s.
 set -eu
 for artifact in BENCH_http.json METRICS.txt STATS.json TRACE.json \
                 STEPS.json MEMORY.json; do
@@ -309,16 +311,23 @@ if mem_pressure is None or mem_pressure >= 1.0:
     failures.append(f"nimble_mem_pressure is {mem_pressure} (expected a "
                     "settled value < 1 under the 1 GiB soft limit)")
 
-# Always-on telemetry must stay under its 3% budget when measured.
+# Always-on telemetry and the step journal must each stay under their 3%
+# budget when measured.
 if "trace_overhead" in bench:
-    overhead = bench["trace_overhead"]["overhead_pct"]
-    if overhead > 3.0:
-        failures.append(f"telemetry overhead {overhead:.2f}% exceeds the 3% "
-                        "budget")
-    else:
-        print(f"telemetry overhead {overhead:.2f}% "
-              f"(on {bench['trace_overhead']['rps_on']:.1f} vs off "
-              f"{bench['trace_overhead']['rps_off']:.1f} req/s)")
+    for key, what in (("trace_overhead", "telemetry"),
+                      ("step_journal_overhead", "step journal + tracing")):
+        arm = bench.get(key)
+        if arm is None:
+            failures.append(f"--trace-overhead ran but {key} is missing")
+        elif arm["rps_on"] <= 0 or arm["rps_off"] <= 0:
+            failures.append(f"{what} A/B produced no throughput numbers")
+        elif arm["overhead_pct"] > 3.0:
+            failures.append(f"{what} overhead {arm['overhead_pct']:.2f}% "
+                            f"exceeds the 3% budget (on {arm['rps_on']:.1f} "
+                            f"vs off {arm['rps_off']:.1f} req/s)")
+        else:
+            print(f"{what} overhead {arm['overhead_pct']:.2f}% (on "
+                  f"{arm['rps_on']:.1f} vs off {arm['rps_off']:.1f} req/s)")
 
 if failures:
     for failure in failures:

@@ -18,7 +18,8 @@
 // /debug/steps or /debug/trace scrape walks the ring; a push is a handful
 // of word moves under an uncontended lock, which keeps the hot loop within
 // the same ≤3% overhead budget as request tracing (CI-guarded via the
-// step_journal_overhead A/B in BENCH_serve.json) while staying TSan-clean
+// step_journal_overhead A/B of bench/http_loadgen.cc --trace-overhead,
+// checked by scripts/check_metrics.sh) while staying TSan-clean
 // — the nightly sched-harness smoke runs with the journal enabled under
 // ThreadSanitizer.
 //

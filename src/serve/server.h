@@ -86,7 +86,8 @@ struct ServeConfig {
   size_t max_pending_batches = 0;
   /// Request-tracing configuration (src/obs/trace.h). Tracing is on by
   /// default: per-request span stamping is a handful of steady_clock reads,
-  /// bounded by the --trace-overhead CI gate at <= 3% of peak req/s.
+  /// bounded by the bench_http_loadgen --trace-overhead CI gate at <= 3%
+  /// of peak req/s.
   obs::TraceConfig trace;
   /// Metrics registry the server exports through (sharded counters,
   /// GET /metrics). Null: the server creates its own. Inject a shared one
@@ -98,7 +99,7 @@ struct ServeConfig {
   /// step_journal.h): one bounded StepRecord ring per continuous model,
   /// written by its runner, served at GET /debug/steps and merged into
   /// GET /debug/trace as slot timelines. On by default, same ≤3% overhead
-  /// budget as tracing (the step_journal_overhead CI gate).
+  /// budget as tracing (the step_journal_overhead arm of the same gate).
   obs::StepJournalConfig step_journal;
   /// Stall-watchdog configuration: one polling thread watching every
   /// continuous runner's health, flipping the per-model

@@ -17,11 +17,13 @@
 //     cross-checks after every schedule.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <future>
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "src/batch/slot_map.h"
@@ -422,6 +424,63 @@ TEST(Continuous, TraceCarriesSlotAndStepSpanOfTheResidency) {
   EXPECT_EQ(views[0].num_slots, 2);
   ASSERT_NE(views[0].journal, nullptr);
   EXPECT_EQ(views[0].journal->steps_recorded(), snap.continuous_steps);
+}
+
+TEST(Continuous, ShortRequestsRetireWhileLongOnesRun) {
+  // Three long requests take three of four slots; six short ones arrive
+  // behind them and must cycle through the fourth slot, each resident for
+  // exactly its own length and each retired before any long one: a short
+  // request is never held hostage by a long neighbour.
+  schedfuzz::ContinuousHarness harness;
+  serve::Server server{serve::ServeConfig{}};
+  serve::ModelConfig mc;
+  mc.exec = harness.exec;
+  mc.batch.continuous = true;
+  mc.batch.continuous_slots = 4;
+  server.AddModel("lstm", std::move(mc));
+  server.Start();
+
+  const int64_t kLong = 256;
+  const int64_t kShort = 3;
+  std::vector<int64_t> lengths = {kLong, kLong, kLong};
+  lengths.insert(lengths.end(), 6, kShort);
+  support::Rng rng(61);
+  vm::VirtualMachine sequential(harness.exec);
+  std::vector<NDArray> expected;
+  std::vector<std::promise<std::pair<runtime::ObjectRef, obs::TraceContext>>>
+      done(lengths.size());
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    int64_t len = lengths[i];
+    NDArray x = models::RandomSequence(len, harness.input_size, rng);
+    expected.push_back(AsTensor(sequential.Invoke(
+        "main", {MakeTensor(x), MakeTensor(NDArray::Scalar<int64_t>(len))})));
+    auto* promise = &done[i];
+    auto admit = server.TrySubmitCallback(
+        "lstm", {MakeTensor(x), MakeTensor(NDArray::Scalar<int64_t>(len))},
+        len,
+        [promise](runtime::ObjectRef result, std::exception_ptr,
+                  const obs::TraceContext& trace) {
+          promise->set_value({std::move(result), trace});
+        });
+    ASSERT_TRUE(admit.accepted()) << "request " << i;
+  }
+  std::vector<obs::TraceContext> traces;
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    auto [result, trace] = done[i].get_future().get();
+    EXPECT_EQ(schedfuzz::CompareBits(AsTensor(result), expected[i], i), "");
+    traces.push_back(trace);
+  }
+  server.Drain();
+
+  int64_t first_long_retire = traces[0].retire_step;
+  for (size_t i = 0; i < 3; ++i) {
+    EXPECT_EQ(traces[i].steps_resident(), kLong) << "long " << i;
+    first_long_retire = std::min(first_long_retire, traces[i].retire_step);
+  }
+  for (size_t i = 3; i < lengths.size(); ++i) {
+    EXPECT_EQ(traces[i].steps_resident(), kShort) << "short " << i;
+    EXPECT_LT(traces[i].retire_step, first_long_retire) << "short " << i;
+  }
 }
 
 // ---- registration-time rejection -------------------------------------------

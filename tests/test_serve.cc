@@ -6,6 +6,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cstring>
 #include <future>
 #include <sstream>
 #include <thread>
@@ -15,6 +16,7 @@
 #include "src/batch/pack_plan.h"
 #include "src/codegen/tuner.h"
 #include "src/core/compiler.h"
+#include "src/models/bert.h"
 #include "src/models/lstm.h"
 #include "src/models/workloads.h"
 #include "src/op/registry.h"
@@ -267,6 +269,55 @@ TEST(Serve, BucketedBatchingPreservesPerRequestOutputs) {
       << schedule.Describe();
   EXPECT_LT(snap.batches, static_cast<int64_t>(lengths.size()))
       << schedule.Describe();
+}
+
+TEST(Serve, BertBucketedAcrossWorkersMatchesSequential) {
+  // The transformer workload through the request-level batching path: two
+  // workers pull length-bucketed batches of up to 4, and every output must
+  // match a sequential VM byte for byte.
+  models::BERTConfig bert;
+  bert.num_layers = 1;
+  bert.hidden = 16;
+  bert.num_heads = 2;
+  bert.ffn_hidden = 32;
+  bert.vocab = 100;
+  ir::Module mod = models::BuildBERT(bert).module;
+  auto exec = core::Compile(mod).executable;
+
+  support::Rng rng(23);
+  std::vector<int64_t> lengths = models::SampleMRPCLengths(24, rng, 64);
+  std::vector<NDArray> ids;
+  std::vector<NDArray> expected;
+  vm::VirtualMachine sequential(exec);
+  for (int64_t len : lengths) {
+    ids.push_back(NDArray::FromVector(
+        models::RandomTokenIds(len, bert.vocab, rng), {len}));
+    expected.push_back(
+        AsTensor(sequential.Invoke("main", {MakeTensor(ids.back())})));
+  }
+
+  serve::ServeConfig config;
+  config.num_workers = 2;
+  serve::ModelConfig model;
+  model.exec = exec;
+  model.batch.max_batch_size = 4;
+  model.batch.max_wait_micros = 2000;
+  serve::Server server(std::move(model), config);
+  std::vector<std::future<runtime::ObjectRef>> futures;
+  for (size_t i = 0; i < lengths.size(); ++i) {
+    futures.push_back(server.Submit({MakeTensor(ids[i])}, lengths[i]));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    runtime::ObjectRef out = futures[i].get();
+    const NDArray& got = AsTensor(out);
+    ASSERT_EQ(got.shape(), expected[i].shape()) << "request " << i;
+    EXPECT_EQ(
+        std::memcmp(got.raw_data(), expected[i].raw_data(), got.nbytes()), 0)
+        << "request " << i;
+  }
+  server.Shutdown();
+  EXPECT_EQ(server.stats().completed, static_cast<int64_t>(lengths.size()));
+  EXPECT_EQ(server.stats().failed, 0);
 }
 
 TEST(Serve, ShutdownFulfillsEveryOutstandingFuture) {
