@@ -14,6 +14,12 @@
 // by >= 1.5x on at least one large shape (K=N>=1024, M>=8 — the regime the
 // old path served at scalar speed), and (b) the tuned config is no slower
 // than the default on at least half the shapes.
+//
+// A second table times partial tiles (the 1-7 rows a full 8-row tile leaves
+// over) on the row-by-row MicroRow1F32 loop against the chains-in-lanes
+// kernel MicroTilePartialF32, at the continuous LSTM step's two dense shapes
+// and a BERT residue shape. Its rows (`partial_tiles` in the JSON) only
+// report; no guard reads them.
 #include <algorithm>
 #include <cstdio>
 #include <cstring>
@@ -70,6 +76,41 @@ ShapeResult RunShape(int64_t m, int64_t n, int64_t k, bool large,
   std::vector<double> best = bench::MeasureInterleaved(systems, /*rounds=*/4);
   return ShapeResult{m,       n,       k,       large,  best[0],
                      best[1], best[2], best[3], tuned};
+}
+
+struct PartialResult {
+  int64_t m, n, k;
+  const char* what;
+  double rows_s, lanes_s;  // per call
+};
+
+PartialResult RunPartial(int64_t m, int64_t n, int64_t k, const char* what) {
+  support::Rng rng(11);
+  std::vector<float> x(static_cast<size_t>(m * k));
+  std::vector<float> w(static_cast<size_t>(n * k));
+  std::vector<float> out(static_cast<size_t>(m * n));
+  for (float& v : x) v = static_cast<float>(rng.Uniform(-1, 1));
+  for (float& v : w) v = static_cast<float>(rng.Uniform(-1, 1));
+  // Microsecond calls: each timed unit is a batch of them.
+  constexpr int kCalls = 200;
+  std::vector<std::function<void()>> systems = {
+      [&] {
+        for (int c = 0; c < kCalls; ++c) {
+          for (int64_t r = 0; r < m; ++r) {
+            codegen::MicroRow1F32(x.data() + r * k, w.data(),
+                                  out.data() + r * n, n, k);
+          }
+        }
+      },
+      [&] {
+        for (int c = 0; c < kCalls; ++c) {
+          codegen::MicroTilePartialF32(x.data(), w.data(), out.data(), m, n,
+                                       k, n);
+        }
+      },
+  };
+  std::vector<double> best = bench::MeasureInterleaved(systems, /*rounds=*/8);
+  return PartialResult{m, n, k, what, best[0] / kCalls, best[1] / kCalls};
 }
 
 }  // namespace
@@ -137,6 +178,21 @@ int main(int argc, char** argv) {
       "slower than default on %d/%zu shapes (target >= half)\n",
       max_large_speedup, tuned_wins, results.size());
 
+  std::printf("\npartial tiles: row-by-row MicroRow1F32 vs chains-in-lanes\n");
+  std::printf("%-20s %-22s %11s %11s %8s\n", "shape (MxNxK)", "where",
+              "rows", "lanes", "speedup");
+  std::vector<PartialResult> partials = {
+      RunPartial(4, 256, 128, "lstm step x*W"),
+      RunPartial(4, 256, 64, "lstm step h*U"),
+      RunPartial(5, 256, 256, "bert residue"),
+  };
+  for (const PartialResult& p : partials) {
+    std::printf("%4lldx%-5lldx%-8lld %-22s %9.2fus %9.2fus %7.2fx\n",
+                static_cast<long long>(p.m), static_cast<long long>(p.n),
+                static_cast<long long>(p.k), p.what, p.rows_s * 1e6,
+                p.lanes_s * 1e6, p.rows_s / p.lanes_s);
+  }
+
   if (write_json) {
     FILE* f = std::fopen("BENCH_kernels.json", "w");
     if (f == nullptr) {
@@ -161,6 +217,18 @@ int main(int argc, char** argv) {
           r.parallel_s * 1e3, r.tuned_config.ToString().c_str(),
           r.dispatch_s / std::min({r.blocked_s, r.tuned_s, r.parallel_s}),
           i + 1 < results.size() ? "," : "");
+    }
+    std::fprintf(f, "  ],\n  \"partial_tiles\": [\n");
+    for (size_t i = 0; i < partials.size(); ++i) {
+      const PartialResult& p = partials[i];
+      std::fprintf(f,
+                   "    {\"m\": %lld, \"n\": %lld, \"k\": %lld, "
+                   "\"where\": \"%s\", \"rows_us\": %.3f, "
+                   "\"lanes_us\": %.3f, \"speedup\": %.3f}%s\n",
+                   static_cast<long long>(p.m), static_cast<long long>(p.n),
+                   static_cast<long long>(p.k), p.what, p.rows_s * 1e6,
+                   p.lanes_s * 1e6, p.rows_s / p.lanes_s,
+                   i + 1 < partials.size() ? "," : "");
     }
     std::fprintf(f, "  ]\n}\n");
     std::fclose(f);

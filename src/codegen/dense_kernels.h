@@ -10,11 +10,9 @@
 // the generic symbolic kernel, which checks the tile boundary at runtime.
 //
 // We reproduce that structure with templates:
-//  - MicroRowsF32<ROWS>: compile-time row count => the residue tail is a
-//    fixed sequence of single-row kernels (the "boundary check eliminated"
-//    code the paper's codegen produces);
-//  - DenseResidue<R>: q full tiles of kTileRows rows + a compile-time tail
-//    of R rows — the specialized kernel for residue class R;
+//  - DenseResidue<R>: q full tiles of kTileRows rows (MicroTile8F32) + a
+//    compile-time tail of R rows (MicroTilePartialF32) — the specialized
+//    kernel for residue class R, with no per-tile boundary check;
 //  - DenseSymbolicChecked: one generic kernel where every tile re-derives
 //    `rows = min(kTileRows, M - i)` and branches on it — what symbolic
 //    codegen emits when it cannot specialize.
@@ -32,6 +30,19 @@ namespace codegen {
 /// selects 8 for all three BERT dense layers (§6.3).
 inline constexpr int kTileRows = 8;
 
+/// Adds the last k_depth % 4 products (`tail` of them, from k4 on) to a
+/// reduced chain sum: up to three guarded adds, not a loop. GCC vectorizes
+/// a tail loop, which spills the main loop's induction variable to the
+/// stack, and at a compile-time K divisible by 4 it warns
+/// (-Waggressive-loop-optimizations) about the empty tail.
+inline float AddKTail(float fin, const float* xrow, const float* wrow,
+                      int64_t k4, int64_t tail) {
+  if (tail > 0) fin += xrow[k4] * wrow[k4];
+  if (tail > 1) fin += xrow[k4 + 1] * wrow[k4 + 1];
+  if (tail > 2) fin += xrow[k4 + 2] * wrow[k4 + 2];
+  return fin;
+}
+
 /// Canonical per-row accumulation: 4 interleaved chains over k (breaking
 /// the multiply-add latency chain), reduced as (a0+a1)+(a2+a3), scalar
 /// tail. EVERY specialized dense path — single row, multi-row tile, or the
@@ -41,10 +52,6 @@ inline constexpr int kTileRows = 8;
 /// (src/batch/pack_plan.h).
 inline void MicroRow1F32(const float* xrow, const float* w, float* outrow,
                          int64_t n_cols, int64_t k_depth) {
-  // The tail is up to three guarded adds, not a loop: GCC vectorizes a
-  // tail loop, which spills the main loop's induction variable to the
-  // stack, and at a compile-time K divisible by 4 it warns
-  // (-Waggressive-loop-optimizations) about the empty tail.
   const int64_t k4 = k_depth - k_depth % 4;
   const int64_t tail = k_depth - k4;
   for (int64_t n = 0; n < n_cols; ++n) {
@@ -56,11 +63,8 @@ inline void MicroRow1F32(const float* xrow, const float* w, float* outrow,
       acc[2] += xrow[k + 2] * wrow[k + 2];
       acc[3] += xrow[k + 3] * wrow[k + 3];
     }
-    float fin = (acc[0] + acc[1]) + (acc[2] + acc[3]);
-    if (tail > 0) fin += xrow[k4] * wrow[k4];
-    if (tail > 1) fin += xrow[k4 + 1] * wrow[k4 + 1];
-    if (tail > 2) fin += xrow[k4 + 2] * wrow[k4 + 2];
-    outrow[n] = fin;
+    outrow[n] = AddKTail((acc[0] + acc[1]) + (acc[2] + acc[3]), xrow, wrow,
+                         k4, tail);
   }
 }
 
@@ -93,17 +97,16 @@ void MicroTile8BlockedF32(const float* x, const float* w, float* out,
                           int64_t n_cols, int64_t k_depth, int64_t out_stride,
                           int64_t block_k);
 
-/// Computes a ROWS x N block of the output, one row at a time. Interleaving
-/// rows inside the k-loop looks tempting but defeats vectorization of the
-/// four chains once ROWS > 1 (measured ~3x worse per row); row-at-a-time
-/// keeps every residue tail at the single-row kernel's cost.
-template <int ROWS>
-inline void MicroRowsF32(const float* x, const float* w, float* out,
-                         int64_t n_cols, int64_t k_depth, int64_t out_stride) {
-  for (int r = 0; r < ROWS; ++r) {
-    MicroRow1F32(x + r * k_depth, w, out + r * out_stride, n_cols, k_depth);
-  }
-}
+/// Partial tile of 1..kTileRows-1 rows, defined in dispatch.cc. With AVX2
+/// it runs chains-in-lanes: rows in pairs, one 8-wide vector per pair
+/// holding row a's four accumulation chains in lanes 0-3 and row b's in
+/// lanes 4-7, the weight quad broadcast to both halves; an odd last row
+/// pairs with itself. Without AVX2 it runs MicroRow1F32 row at a time.
+/// Compiled without fused multiply-add, so every row's bits match
+/// MicroRow1F32.
+void MicroTilePartialF32(const float* x, const float* w, float* out,
+                         int64_t rows, int64_t n_cols, int64_t k_depth,
+                         int64_t out_stride);
 
 /// Residue-specialized dense kernel: M = kTileRows * q + R with R fixed at
 /// compile time. All loop bounds in the hot path are tile-exact; full tiles
@@ -116,13 +119,14 @@ void DenseResidue(const float* x, const float* w, float* out, int64_t m,
     MicroTile8F32(x + t * kTileRows * k, w, out + t * kTileRows * n, n, k, n);
   }
   if constexpr (R > 0) {
-    MicroRowsF32<R>(x + q * kTileRows * k, w, out + q * kTileRows * n, n, k, n);
+    MicroTilePartialF32(x + q * kTileRows * k, w, out + q * kTileRows * n, R,
+                        n, k, n);
   }
 }
 
 /// Generic symbolic kernel: every tile carries a runtime boundary check;
-/// a full tile runs MicroTile8F32 and a partial one runs row by row on
-/// MicroRow1F32 (the same split DenseBlockedCell makes).
+/// a full tile runs MicroTile8F32 and a partial one MicroTilePartialF32
+/// (the same split DenseBlockedCell makes).
 void DenseSymbolicChecked(const float* x, const float* w, float* out,
                           int64_t m, int64_t n, int64_t k);
 
@@ -136,7 +140,8 @@ void DenseStatic(const float* x, const float* w, float* out) {
     MicroTile8F32(x + t * kTileRows * K, w, out + t * kTileRows * N, N, K, N);
   }
   if constexpr (R > 0) {
-    MicroRowsF32<R>(x + q * kTileRows * K, w, out + q * kTileRows * N, N, K, N);
+    MicroTilePartialF32(x + q * kTileRows * K, w, out + q * kTileRows * N, R,
+                        N, K, N);
   }
 }
 

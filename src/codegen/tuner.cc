@@ -34,11 +34,9 @@ void DenseBlockedCell(const float* x, const float* w, float* out, int64_t m,
   if (rows == kTileRows) {
     MicroTile8BlockedF32(xr, wb, outr, n1 - n0, k, n, config.block_k);
   } else {
-    // Residue tail: the same single-row kernel the residue-dispatch path
+    // Residue tail: the same partial-tile kernel the residue-dispatch path
     // ends in, so a partial tile's bits match it exactly.
-    for (int64_t r = 0; r < rows; ++r) {
-      MicroRow1F32(xr + r * k, wb, outr + r * n, n1 - n0, k);
-    }
+    MicroTilePartialF32(xr, wb, outr, rows, n1 - n0, k, n);
   }
 }
 

@@ -1,6 +1,7 @@
 #include "src/vm/compiler.h"
 
 #include <unordered_map>
+#include <unordered_set>
 
 #include "src/ir/printer.h"
 #include "src/ir/visitor.h"
@@ -14,10 +15,40 @@ using namespace ir;  // NOLINT
 
 namespace {
 
+/// memory.invoke_mut and vm.shape_func: an InvokePacked that writes its
+/// outputs in place and yields no value of its own.
+bool IsPackedCall(const Expr& e) {
+  return IsCallToOp(e, "memory.invoke_mut") || IsCallToOp(e, "vm.shape_func");
+}
+
+/// Every variable some expression reads. A let binder is a definition, not
+/// a read, and memory.kill only recycles its operand's register.
+class ReadVarCollector : public ExprVisitor {
+ public:
+  std::unordered_set<const VarNode*> read;
+
+ protected:
+  void VisitVar_(const VarNode* node) override { read.insert(node); }
+  void VisitLet_(const LetNode* node) override {
+    Visit(node->value);
+    Visit(node->body);
+  }
+  void VisitCall_(const CallNode* node) override {
+    if (node->op->kind() == ExprKind::kOp &&
+        static_cast<const OpNode*>(node->op.get())->name == "memory.kill") {
+      return;
+    }
+    ExprVisitor::VisitCall_(node);
+  }
+};
+
 class CompilerImpl {
  public:
   std::shared_ptr<Executable> Compile(const Module& mod) {
     mod_ = &mod;
+    ReadVarCollector reads;
+    for (const auto& [name, fn] : mod.functions()) reads.Visit(fn);
+    read_vars_ = std::move(reads.read);
     exec_ = std::make_shared<Executable>();
     // Pre-assign indices so mutually recursive calls resolve.
     for (const auto& [name, fn] : mod.functions()) {
@@ -83,6 +114,12 @@ class CompilerImpl {
               static_cast<const VarNode*>(call->args[0].get()));
           if (it != ctx->env.end()) ctx->free_regs.push_back(it->second);
         }
+        cursor = let->body;
+        continue;
+      }
+      // A packed call's value is a dummy; bind one only if it is read.
+      if (IsPackedCall(let->value) && read_vars_.count(let->var.get()) == 0) {
+        EmitPackedCall(AsCall(let->value), ctx);
         cursor = let->body;
         continue;
       }
@@ -246,44 +283,9 @@ class CompilerImpl {
       Emit(ctx, inst);
       return inst.dst;
     }
-    if (name == "memory.invoke_mut") {
-      std::string op_name = call->attrs.GetStr("op_name");
-      const op::OpInfo& info = op::OpRegistry::Global()->Get(op_name);
-      PackedEntry entry;
-      entry.kind = PackedEntry::Kind::kKernel;
-      entry.name = info.kernel_name;
-      entry.attrs = call->attrs;
-      entry.num_inputs = static_cast<int32_t>(call->attrs.GetInt("num_inputs"));
-      Instruction inst;
-      inst.op = Opcode::kInvokePacked;
-      inst.imm0 = PackedIndex(entry);
-      inst.imm1 = entry.num_inputs;
-      for (const Expr& a : call->args) inst.args.push_back(CompileAtom(a, ctx));
-      Emit(ctx, inst);
-      // invoke_mut yields no value; hand back a dummy register holding the
-      // immediate 0 only if someone binds it (cheap, rare).
-      RegName dst = NewReg(ctx);
-      Instruction zero;
-      zero.op = Opcode::kLoadConsti;
-      zero.imm0 = 0;
-      zero.dst = dst;
-      Emit(ctx, zero);
-      return dst;
-    }
-    if (name == "vm.shape_func") {
-      std::string op_name = call->attrs.GetStr("op_name");
-      PackedEntry entry;
-      entry.kind = PackedEntry::Kind::kShapeFunc;
-      entry.name = op_name;
-      entry.attrs = call->attrs;
-      entry.num_inputs = static_cast<int32_t>(call->attrs.GetInt("num_inputs"));
-      entry.shape_mode = static_cast<int32_t>(call->attrs.GetInt("mode"));
-      Instruction inst;
-      inst.op = Opcode::kInvokePacked;
-      inst.imm0 = PackedIndex(entry);
-      inst.imm1 = entry.num_inputs;
-      for (const Expr& a : call->args) inst.args.push_back(CompileAtom(a, ctx));
-      Emit(ctx, inst);
+    if (name == "memory.invoke_mut" || name == "vm.shape_func") {
+      EmitPackedCall(call, ctx);
+      // The call yields no value; whoever reads this one gets the immediate 0.
       RegName dst = NewReg(ctx);
       Instruction zero;
       zero.op = Opcode::kLoadConsti;
@@ -321,6 +323,28 @@ class CompilerImpl {
     }
     NIMBLE_FATAL() << "operator '" << name
                    << "' reached the VM compiler; run ManifestAlloc first";
+  }
+
+  void EmitPackedCall(const CallNode* call, FuncCtx* ctx) {
+    std::string op_name = call->attrs.GetStr("op_name");
+    PackedEntry entry;
+    if (static_cast<const OpNode*>(call->op.get())->name ==
+        "memory.invoke_mut") {
+      entry.kind = PackedEntry::Kind::kKernel;
+      entry.name = op::OpRegistry::Global()->Get(op_name).kernel_name;
+    } else {
+      entry.kind = PackedEntry::Kind::kShapeFunc;
+      entry.name = op_name;
+      entry.shape_mode = static_cast<int32_t>(call->attrs.GetInt("mode"));
+    }
+    entry.attrs = call->attrs;
+    entry.num_inputs = static_cast<int32_t>(call->attrs.GetInt("num_inputs"));
+    Instruction inst;
+    inst.op = Opcode::kInvokePacked;
+    inst.imm0 = PackedIndex(entry);
+    inst.imm1 = entry.num_inputs;
+    for (const Expr& a : call->args) inst.args.push_back(CompileAtom(a, ctx));
+    Emit(ctx, inst);
   }
 
   RegName CompileIf(const IfNode* node, FuncCtx* ctx) {
@@ -473,6 +497,7 @@ class CompilerImpl {
   }
 
   const Module* mod_ = nullptr;
+  std::unordered_set<const VarNode*> read_vars_;
   std::shared_ptr<Executable> exec_;
   std::unordered_map<const ConstantNode*, int64_t> const_indices_;
   std::unordered_map<std::string, int64_t> packed_indices_;

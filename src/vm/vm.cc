@@ -51,8 +51,7 @@ std::string VMProfile::ToString() const {
   for (size_t i = 0; i < per_opcode.size(); ++i) {
     if (per_opcode[i].count == 0) continue;
     os << "  " << OpcodeName(static_cast<Opcode>(i)) << ": "
-       << per_opcode[i].count << " ops, " << per_opcode[i].nanos / 1e6
-       << " ms\n";
+       << per_opcode[i].count << " ops\n";
   }
   return os.str();
 }
@@ -111,18 +110,11 @@ ObjectRef VirtualMachine::Run(Frame initial) {
     NIMBLE_CHECK_LT(frame.pc, fn.instructions.size())
         << "pc ran off the end of @" << fn.name;
     const Instruction& inst = fn.instructions[frame.pc];
+    RunInstruction(inst, stack, &result, &done);
+    // Counts only: one clock pair per Run (and RunPacked's own) times it.
     if (profiling_) {
-      auto t0 = std::chrono::steady_clock::now();
-      RunInstruction(inst, stack, &result, &done);
-      auto t1 = std::chrono::steady_clock::now();
-      int64_t ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
-      auto& entry = profile_.per_opcode[static_cast<size_t>(inst.op)];
-      entry.count++;
-      entry.nanos += ns;
+      profile_.per_opcode[static_cast<size_t>(inst.op)].count++;
       profile_.instructions++;
-    } else {
-      RunInstruction(inst, stack, &result, &done);
     }
   }
   if (profiling_) {

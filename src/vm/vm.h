@@ -3,8 +3,10 @@
 // Loads an executable and runs its bytecode in a dispatch loop. Objects in
 // the register file are reference-counted and passed by reference, so
 // register operations are cheap regardless of payload size. The interpreter
-// optionally records a per-instruction-category time profile (used by the
-// Table 4 overhead study: kernel latency vs "other instructions").
+// optionally records a profile: per-opcode instruction counts plus kernel,
+// shape-function and total time, with one clock pair per run and per packed
+// call, not per instruction (used by the Table 4 overhead study: kernel
+// latency vs "other instructions").
 //
 // Thread-safety contract (serving subsystem, src/serve/):
 //   A VirtualMachine instance is single-threaded — it owns a mutable frame
@@ -31,7 +33,6 @@ namespace vm {
 struct VMProfile {
   struct Entry {
     int64_t count = 0;
-    int64_t nanos = 0;
   };
   std::array<Entry, 20> per_opcode{};
   int64_t kernel_nanos = 0;      // InvokePacked on compute kernels

@@ -427,50 +427,51 @@ TEST(Continuous, TraceCarriesSlotAndStepSpanOfTheResidency) {
 }
 
 TEST(Continuous, ShortRequestsRetireWhileLongOnesRun) {
-  // Three long requests take three of four slots; six short ones arrive
-  // behind them and must cycle through the fourth slot, each resident for
+  // Three long requests take three of four slots; six short ones queued
+  // behind them must cycle through the fourth slot, each resident for
   // exactly its own length and each retired before any long one: a short
-  // request is never held hostage by a long neighbour.
+  // request is never held hostage by a long neighbour. The runner drains a
+  // queue filled before it starts, so all nine are queued at step 0. (Behind
+  // a server, the runner steps the first request while the rest are still
+  // being submitted, and on a busy host the submitting thread can lose the
+  // CPU for a whole scheduler slice — hundreds of steps — after the first
+  // push.)
   schedfuzz::ContinuousHarness harness;
-  serve::Server server{serve::ServeConfig{}};
-  serve::ModelConfig mc;
-  mc.exec = harness.exec;
-  mc.batch.continuous = true;
-  mc.batch.continuous_slots = 4;
-  server.AddModel("lstm", std::move(mc));
-  server.Start();
-
   const int64_t kLong = 256;
   const int64_t kShort = 3;
   std::vector<int64_t> lengths = {kLong, kLong, kLong};
   lengths.insert(lengths.end(), 6, kShort);
   support::Rng rng(61);
   vm::VirtualMachine sequential(harness.exec);
+  serve::Channel<serve::Request> queue(lengths.size());
   std::vector<NDArray> expected;
-  std::vector<std::promise<std::pair<runtime::ObjectRef, obs::TraceContext>>>
-      done(lengths.size());
+  std::vector<std::future<runtime::ObjectRef>> results;
+  std::vector<obs::TraceContext> traces(lengths.size());
   for (size_t i = 0; i < lengths.size(); ++i) {
     int64_t len = lengths[i];
     NDArray x = models::RandomSequence(len, harness.input_size, rng);
     expected.push_back(AsTensor(sequential.Invoke(
         "main", {MakeTensor(x), MakeTensor(NDArray::Scalar<int64_t>(len))})));
-    auto* promise = &done[i];
-    auto admit = server.TrySubmitCallback(
-        "lstm", {MakeTensor(x), MakeTensor(NDArray::Scalar<int64_t>(len))},
-        len,
-        [promise](runtime::ObjectRef result, std::exception_ptr,
-                  const obs::TraceContext& trace) {
-          promise->set_value({std::move(result), trace});
-        });
-    ASSERT_TRUE(admit.accepted()) << "request " << i;
+    serve::Request request;
+    request.id = static_cast<int64_t>(i);
+    request.args = {MakeTensor(x), MakeTensor(NDArray::Scalar<int64_t>(len))};
+    request.length_hint = len;
+    request.trace.enabled = true;
+    request.on_complete = [&traces, i](runtime::ObjectRef, std::exception_ptr,
+                                       const obs::TraceContext& trace) {
+      traces[i] = trace;
+    };
+    results.push_back(request.promise.get_future());
+    ASSERT_TRUE(queue.Push(request)) << "request " << i;
   }
-  std::vector<obs::TraceContext> traces;
+  batch::StepRunner runner(harness.exec, "main", 4, &queue, nullptr, nullptr);
+  runner.Start();
+  queue.Close();
+  runner.Join();
   for (size_t i = 0; i < lengths.size(); ++i) {
-    auto [result, trace] = done[i].get_future().get();
-    EXPECT_EQ(schedfuzz::CompareBits(AsTensor(result), expected[i], i), "");
-    traces.push_back(trace);
+    EXPECT_EQ(schedfuzz::CompareBits(AsTensor(results[i].get()), expected[i], i),
+              "");
   }
-  server.Drain();
 
   int64_t first_long_retire = traces[0].retire_step;
   for (size_t i = 0; i < 3; ++i) {

@@ -2,6 +2,7 @@
 // with parameterized shape sweeps (property-style).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstring>
@@ -109,6 +110,42 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(1, 2, 4, 8),
                        ::testing::Values(int64_t{3}, int64_t{12},
                                          int64_t{128}, int64_t{1030})));
+
+// Every partial-tile row count (1-7, alone and behind one or two full
+// tiles) through all three partial-tile sites — the residue kernels, the
+// generic symbolic kernel, and the blocked cells under every tuner config —
+// at odd N (a 4-column block remainder) and K tails of every phase.
+TEST(DenseDispatch, PartialTilesMatchMicroRowBitsOnEveryPath) {
+  const int64_t n = 37;
+  uint64_t seed = 300;
+  for (int64_t k : {1, 2, 3, 4, 5, 64, 127, 128, 1030}) {
+    NDArray w = Rand({n, k}, seed++);
+    for (int64_t m = 1; m <= 17; ++m) {
+      NDArray x = Rand({m, k}, seed++);
+      std::vector<float> ref = RowReference(x, w, m, n, k);
+      std::vector<float> out(static_cast<size_t>(m * n));
+      for (int variants : {1, 2, 4, 8}) {
+        codegen::DenseDispatchTable table(variants);
+        std::fill(out.begin(), out.end(), -1.0f);
+        table.Run(x.data<float>(), w.data<float>(), out.data(), m, n, k);
+        ASSERT_TRUE(BitsEqual(out.data(), ref.data(), m * n))
+            << "variants=" << variants << " m=" << m << " k=" << k;
+      }
+      std::fill(out.begin(), out.end(), -1.0f);
+      codegen::DenseSymbolicChecked(x.data<float>(), w.data<float>(),
+                                    out.data(), m, n, k);
+      ASSERT_TRUE(BitsEqual(out.data(), ref.data(), m * n))
+          << "symbolic m=" << m << " k=" << k;
+      for (const auto& config : codegen::DenseConfigSpace()) {
+        std::fill(out.begin(), out.end(), -1.0f);
+        codegen::DenseBlocked(x.data<float>(), w.data<float>(), out.data(), m,
+                              n, k, config);
+        ASSERT_TRUE(BitsEqual(out.data(), ref.data(), m * n))
+            << "blocked m=" << m << " k=" << k << " " << config.ToString();
+      }
+    }
+  }
+}
 
 TEST(DenseDispatch, StatsTrackSpecializedVsFallback) {
   codegen::DenseDispatchTable table(2);  // residues {0, 4} specialized
