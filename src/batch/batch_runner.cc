@@ -31,33 +31,18 @@ void FinishTrace(obs::Tracer* tracer, serve::Request& request, bool ok) {
   if (tracer != nullptr) tracer->Commit(request.trace);
 }
 
+obs::ExecProfile VMProfileSince(const vm::VirtualMachine& vm,
+                                const obs::ExecProfile& mark) {
+  const vm::VMProfile& p = vm.profile();
+  obs::ExecProfile delta;
+  delta.kernel_nanos = p.kernel_nanos - mark.kernel_nanos;
+  delta.shape_func_nanos = p.shape_func_nanos - mark.shape_func_nanos;
+  delta.other_nanos = p.other_nanos() - mark.other_nanos;
+  delta.instructions = p.instructions - mark.instructions;
+  return delta;
+}
+
 namespace {
-
-/// VMProfile counters before an invocation, so the per-category times of
-/// exactly this invocation can be folded into a trace's exec span (the
-/// profile accumulates across every Invoke since the worker's last Reset).
-struct ProfileMark {
-  int64_t kernel_nanos = 0;
-  int64_t shape_func_nanos = 0;
-  int64_t total_nanos = 0;
-  int64_t instructions = 0;
-};
-
-ProfileMark MarkProfile(const vm::VirtualMachine& vm) {
-  const vm::VMProfile& p = vm.profile();
-  return ProfileMark{p.kernel_nanos, p.shape_func_nanos, p.total_nanos,
-                     p.instructions};
-}
-
-void FoldProfile(const vm::VirtualMachine& vm, const ProfileMark& before,
-                 obs::TraceContext& trace) {
-  const vm::VMProfile& p = vm.profile();
-  trace.vm.kernel_nanos = p.kernel_nanos - before.kernel_nanos;
-  trace.vm.shape_func_nanos = p.shape_func_nanos - before.shape_func_nanos;
-  trace.vm.other_nanos =
-      (p.total_nanos - before.total_nanos) - trace.vm.kernel_nanos;
-  trace.vm.instructions = p.instructions - before.instructions;
-}
 
 /// The pre-tensor-batching behavior, verbatim: one Invoke per request, each
 /// promise fulfilled with the result or the exception it threw. `on_done`
@@ -68,7 +53,7 @@ void RunPerRequest(vm::VirtualMachine& vm, serve::Batch& batch,
                    const RequestDoneFn& on_done) {
   for (serve::Request& request : batch.requests) {
     bool traced = request.trace.enabled;
-    ProfileMark mark;
+    obs::ExecProfile mark;
     int64_t alloc_mark = 0;
     if (traced) {
       // No pack/unpack on this path: both spans collapse to zero width at
@@ -76,7 +61,7 @@ void RunPerRequest(vm::VirtualMachine& vm, serve::Batch& batch,
       auto now = obs::SteadyClock::now();
       request.trace.pack_start = now;
       request.trace.pack_end = now;
-      mark = MarkProfile(vm);
+      mark = VMProfileSince(vm);
       alloc_mark = vm.allocator()->stats().bytes_allocated;
     }
     bool ok = true;
@@ -94,7 +79,7 @@ void RunPerRequest(vm::VirtualMachine& vm, serve::Batch& batch,
       auto now = obs::SteadyClock::now();
       request.trace.exec_end = now;
       request.trace.unpack_end = now;
-      FoldProfile(vm, mark, request.trace);
+      request.trace.vm = VMProfileSince(vm, mark);
       // No pack/unpack copies on this path; the exec span still reports
       // the invocation's allocator traffic.
       request.trace.alloc_bytes =
@@ -128,7 +113,7 @@ BatchRunResult RunBatch(vm::VirtualMachine& vm, serve::Batch& batch,
                     batch.requests.front().trace.enabled;
       obs::SteadyClock::time_point pack_start{}, pack_end{}, exec_end{},
           unpack_end{};
-      ProfileMark mark;
+      obs::ExecProfile mark;
       int64_t alloc_mark = 0;
       int64_t alloc_delta = 0;
       std::vector<runtime::NDArray> outs;
@@ -136,7 +121,7 @@ BatchRunResult RunBatch(vm::VirtualMachine& vm, serve::Batch& batch,
       try {
         if (traced) {
           pack_start = obs::SteadyClock::now();
-          mark = MarkProfile(vm);
+          mark = VMProfileSince(vm);
           alloc_mark = vm.allocator()->stats().bytes_allocated;
         }
         auto args = plan.PackArgs(batch.requests, vm.allocator());
@@ -172,7 +157,7 @@ BatchRunResult RunBatch(vm::VirtualMachine& vm, serve::Batch& batch,
             request.trace.pack_end = pack_end;
             request.trace.exec_end = exec_end;
             request.trace.unpack_end = unpack_end;
-            FoldProfile(vm, mark, request.trace);
+            request.trace.vm = VMProfileSince(vm, mark);
             // The batch's allocator traffic is shared (one invocation);
             // the copied bytes are this request's own pack share plus its
             // unpacked output slice.

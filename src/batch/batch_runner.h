@@ -57,6 +57,14 @@ void NotifyComplete(serve::Request& request, runtime::ObjectRef result,
 /// null (trace still closed, just not committed).
 void FinishTrace(obs::Tracer* tracer, serve::Request& request, bool ok);
 
+/// `vm`'s profile counters since `mark` (other = total - kernel). The
+/// profile accumulates across every Invoke since the VM's last Reset, so
+/// callers take a mark with the default `mark` before an invocation and
+/// pass it back afterwards to get exactly that invocation's times. Shared
+/// by the batch path here and the continuous slot-map runner.
+obs::ExecProfile VMProfileSince(const vm::VirtualMachine& vm,
+                                const obs::ExecProfile& mark = {});
+
 /// Runs every request of `batch` on `vm` (which must already be bound to
 /// `batch.exec`), fulfilling all promises. `tensor_batching` requests the
 /// packed path; `on_done` may be null.

@@ -105,11 +105,6 @@ PackCheck AnalyzeBatch(const vm::Executable& exec,
     check.reason = "no batched entry for '" + function + "'";
     return check;
   }
-  bool time_major = spec->layout == vm::BatchedEntrySpec::Layout::kTimeMajor;
-  if (!time_major && spec->num_state_args != 0) {
-    check.reason = "row-map batched entry cannot take state arguments";
-    return check;
-  }
   // Variant shape gate first (it implies the most precise reason): a
   // specialized executable only serves batches of exactly its baked shape.
   const vm::Executable::VariantInfo& variant = exec.variant;
@@ -154,8 +149,7 @@ PackPlan PackPlan::Build(const vm::BatchedEntrySpec& spec,
     plan.lengths_.push_back(len);
     plan.max_len_ = std::max(plan.max_len_, len);
   }
-  if (forced_max_len > 0 &&
-      spec.layout == vm::BatchedEntrySpec::Layout::kTimeMajor) {
+  if (forced_max_len > 0) {
     NIMBLE_CHECK_GE(forced_max_len, plan.max_len_)
         << "variant Lmax smaller than a request's length";
     plan.max_len_ = forced_max_len;
@@ -171,33 +165,9 @@ std::vector<ObjectRef> PackPlan::PackArgs(
   int64_t D = spec.feature_width;
   NIMBLE_CHECK_EQ(static_cast<size_t>(B), requests.size());
 
-  if (spec.layout == vm::BatchedEntrySpec::Layout::kBatchMajorRowMap) {
-    // Dense concatenation: every request's rows back to back, no padding.
-    int64_t R = 0;
-    for (int64_t len : lengths_) R += len;
-    NDArray packed = NDArray::Empty({R, D}, DataType::Float32(),
-                                    runtime::Device::CPU(), alloc);
-    float* pp = packed.data<float>();
-    for (int64_t r = 0; r < B; ++r) {
-      const NDArray& seq =
-          runtime::AsTensor(requests[static_cast<size_t>(r)]
-                                .args[static_cast<size_t>(spec.seq_arg)]);
-      int64_t len = lengths_[static_cast<size_t>(r)];
-      std::memcpy(pp, seq.data<float>(),
-                  static_cast<size_t>(len * D) * sizeof(float));
-      pp += len * D;
-    }
-    // One ledger add for the whole gather, not one per row (see
-    // src/obs/memory.h on RecordCopy granularity).
-    obs::RecordCopy(obs::CopySite::kPack,
-                    R * D * static_cast<int64_t>(sizeof(float)));
-    return {runtime::MakeTensor(std::move(packed))};
-  }
-
-  // Time-major pad-and-pack: zero the buffer once, then interleave each
-  // request's rows at stride B. An exact-length batch (the executable
-  // cache's carved batches) writes every row, so the upfront zeroing is
-  // skipped.
+  // Pad-and-pack: zero the buffer once, then interleave each request's
+  // rows at stride B. An exact-length batch (the executable cache's carved
+  // batches) writes every row, so the upfront zeroing is skipped.
   NDArray packed =
       padded_elements() == 0
           ? NDArray::Empty({max_len_, B, D}, DataType::Float32(),
@@ -245,33 +215,6 @@ std::vector<NDArray> PackPlan::Unpack(const ObjectRef& result,
   const NDArray& batched = runtime::AsTensor(result);
   int64_t B = batch_size();
 
-  if (spec_->layout == vm::BatchedEntrySpec::Layout::kBatchMajorRowMap) {
-    // [R, W] rows-to-rows result: slice each request's row range back out.
-    int64_t R = 0;
-    for (int64_t len : lengths_) R += len;
-    NIMBLE_CHECK_EQ(batched.ndim(), 2)
-        << "row-map batched entry must return [R, W], got "
-        << runtime::ShapeToString(batched.shape());
-    NIMBLE_CHECK_EQ(batched.shape()[0], R)
-        << "row-map batched result rows do not match the packed rows";
-    int64_t W = batched.shape()[1];
-    size_t row_bytes = static_cast<size_t>(W) * batched.dtype().bytes();
-    const char* src = static_cast<const char*>(batched.raw_data());
-    std::vector<NDArray> outs;
-    outs.reserve(static_cast<size_t>(B));
-    for (int64_t r = 0; r < B; ++r) {
-      int64_t len = lengths_[static_cast<size_t>(r)];
-      NDArray out = NDArray::Empty({len, W}, batched.dtype(),
-                                   runtime::Device::CPU(), alloc);
-      std::memcpy(out.raw_data(), src, static_cast<size_t>(len) * row_bytes);
-      src += static_cast<size_t>(len) * row_bytes;
-      outs.push_back(std::move(out));
-    }
-    obs::RecordCopy(obs::CopySite::kUnpack,
-                    R * static_cast<int64_t>(row_bytes));
-    return outs;
-  }
-
   NIMBLE_CHECK_EQ(batched.ndim(), 2)
       << "batched entry must return [B, W], got "
       << runtime::ShapeToString(batched.shape());
@@ -293,18 +236,10 @@ std::vector<NDArray> PackPlan::Unpack(const ObjectRef& result,
 }
 
 int64_t PackPlan::total_elements() const {
-  if (spec_->layout == vm::BatchedEntrySpec::Layout::kBatchMajorRowMap) {
-    int64_t used = 0;
-    for (int64_t len : lengths_) used += len;
-    return used * spec_->feature_width;
-  }
   return max_len_ * batch_size() * spec_->feature_width;
 }
 
 int64_t PackPlan::padded_elements() const {
-  if (spec_->layout == vm::BatchedEntrySpec::Layout::kBatchMajorRowMap) {
-    return 0;  // dense concatenation never pads
-  }
   int64_t used = 0;
   for (int64_t len : lengths_) used += len;
   return (max_len_ * batch_size() - used) * spec_->feature_width;

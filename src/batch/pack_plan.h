@@ -5,21 +5,14 @@
 // whether a batch may run packed — the executable must carry a
 // vm::BatchedEntrySpec for the requests' entry point, and every request must
 // match the spec's calling convention (see the fallback rules in
-// docs/ARCHITECTURE.md). Two packing layouts exist, selected by the spec:
-//
-// Time-major (recurrent models; BatchedEntrySpec::Layout::kTimeMajor):
+// docs/ARCHITECTURE.md). Packing is time-major (the convention of
+// vm::BatchedEntrySpec):
 //   packed  [Lmax, B, D]   packed[t, r, :] = request r's row t, zero rows
 //                          beyond its true length
 //   max_len i64 scalar     = Lmax
 //   lengths [B, 1] i64     true per-request lengths
 //   states  [B, W] x k     zero-filled recurrent initial states
 //   result  [B, W_out]     row r sliced back out per request
-//
-// Batch-major row map (row-independent feed-forward entries;
-// kBatchMajorRowMap): requests' rows are concatenated with NO padding into
-// one [R, D] tensor (R = sum of lengths; the per-request row ranges are the
-// host-side "row map"), the batched function maps rows to rows, and the
-// [R, W_out] result is sliced back into per-request [len, W_out] tensors.
 //
 // For an executable *variant* specialized to a shape bucket
 // (vm::Executable::variant, produced for serve::ExecCache), AnalyzeBatch
@@ -36,8 +29,7 @@
 // independently and in the same per-row order for any row count and any
 // dense dispatch configuration (true of the repo's dense / elementwise /
 // lstm_cell kernels); the batched function itself (e.g. models::BuildLSTM's
-// @main_batched) guarantees the rest via exact `where` masking (a row-map
-// entry is row-independent, which is the whole property).
+// @main_batched) guarantees the rest via exact `where` masking.
 //
 // Thread-safety: AnalyzeBatch and PackPlan only read the executable and the
 // requests; each pool worker builds its own plans with its own allocator.
@@ -91,12 +83,12 @@ class PackPlan {
   /// the plan (it lives in the executable, which the batch holds alive).
   /// `forced_max_len` > 0 pins the packed length (a variant's exact Lmax)
   /// instead of the batch's own maximum; it must not be smaller than any
-  /// request's length. Ignored by the row-map layout, which never pads.
+  /// request's length.
   static PackPlan Build(const vm::BatchedEntrySpec& spec,
                         const std::vector<serve::Request>& requests,
                         int64_t forced_max_len = 0);
 
-  /// Packs the requests' sequences per the spec's layout and materializes
+  /// Packs the requests' sequences time-major and materializes
   /// the batched argument list, allocating every tensor from `alloc` (the
   /// pool worker's PoolingAllocator, so packed buffers recycle across
   /// batches).
@@ -105,8 +97,7 @@ class PackPlan {
       runtime::Allocator* alloc) const;
 
   /// Slices the batched result back into per-request tensors: row r of
-  /// [B, W] as [1, W] (time-major), or the request's [len, W] row range of
-  /// [R, W] (row map).
+  /// [B, W] as [1, W].
   std::vector<runtime::NDArray> Unpack(const runtime::ObjectRef& result,
                                        runtime::Allocator* alloc) const;
 
@@ -115,8 +106,7 @@ class PackPlan {
   const std::vector<int64_t>& lengths() const { return lengths_; }
 
   /// Padding-overhead accounting over the packed input, in elements:
-  /// time-major packs total = Lmax * B * D of which padded are zero rows;
-  /// a row-map pack is dense by construction (padded == 0).
+  /// total = Lmax * B * D, of which padded are zero rows.
   int64_t total_elements() const;
   int64_t padded_elements() const;
 

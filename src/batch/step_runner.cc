@@ -17,26 +17,6 @@ using runtime::DataType;
 using runtime::NDArray;
 using runtime::ObjectRef;
 
-namespace {
-
-/// VMProfile counters before an invocation, so exactly this step's
-/// per-category times can be folded into the journal record and the
-/// per-slot accumulators (same pattern as batch_runner.cc).
-struct ProfileMark {
-  int64_t kernel_nanos = 0;
-  int64_t shape_func_nanos = 0;
-  int64_t total_nanos = 0;
-  int64_t instructions = 0;
-};
-
-ProfileMark MarkProfile(const vm::VirtualMachine& vm) {
-  const vm::VMProfile& p = vm.profile();
-  return ProfileMark{p.kernel_nanos, p.shape_func_nanos, p.total_nanos,
-                     p.instructions};
-}
-
-}  // namespace
-
 ContinuousCheck AnalyzeContinuous(const vm::Executable& exec,
                                   const std::string& function,
                                   int64_t num_slots) {
@@ -48,10 +28,6 @@ ContinuousCheck AnalyzeContinuous(const vm::Executable& exec,
   const vm::BatchedEntrySpec* spec = exec.FindBatched(function);
   if (spec == nullptr) {
     check.reason = "no batched entry for '" + function + "'";
-    return check;
-  }
-  if (spec->layout != vm::BatchedEntrySpec::Layout::kTimeMajor) {
-    check.reason = "continuous serving requires the time-major layout";
     return check;
   }
   if (spec->step_function.empty()) {
@@ -285,10 +261,10 @@ void StepRunner::RunStep(SlotMap& slots) {
   }
   const bool profiling = (tracer_ != nullptr && tracer_->enabled()) ||
                          journal_on_;
-  ProfileMark mark;
+  obs::ExecProfile mark;
   int64_t alloc_mark = 0;
   if (profiling) {
-    mark = MarkProfile(*vm_);
+    mark = VMProfileSince(*vm_);
     alloc_mark = allocator_->stats().bytes_allocated;
   }
 
@@ -341,12 +317,7 @@ void StepRunner::RunStep(SlotMap& slots) {
   // semantics as the packed path).
   obs::ExecProfile step_vm;
   if (profiling) {
-    const vm::VMProfile& p = vm_->profile();
-    step_vm.kernel_nanos = p.kernel_nanos - mark.kernel_nanos;
-    step_vm.shape_func_nanos = p.shape_func_nanos - mark.shape_func_nanos;
-    step_vm.other_nanos =
-        (p.total_nanos - mark.total_nanos) - step_vm.kernel_nanos;
-    step_vm.instructions = p.instructions - mark.instructions;
+    step_vm = VMProfileSince(*vm_, mark);
     int64_t step_alloc = allocator_->stats().bytes_allocated - alloc_mark;
     for (int64_t i = 0; i < B; ++i) {
       if (!slots.IsOccupied(i)) continue;

@@ -14,9 +14,6 @@ CompileResult Compile(ir::Module& mod, const CompileOptions& options) {
     NIMBLE_CHECK(!options.batched_entries.empty())
         << "specialize_length requires a batched entry to specialize";
     for (const vm::BatchedEntrySpec& spec : options.batched_entries) {
-      // Row-map entries carry no packed length dimension; only the padded
-      // time-major convention has a bucket Lmax to bake.
-      if (spec.layout != vm::BatchedEntrySpec::Layout::kTimeMajor) continue;
       // A variant's batches are guaranteed exact-length (batch::AnalyzeBatch
       // enforces the baked shape), so specialize the unmasked exact twin
       // when the builder emitted one — the per-row freeze masking is an
@@ -26,16 +23,14 @@ CompileResult Compile(ir::Module& mod, const CompileOptions& options) {
                                       : spec.exact_batched_function;
       pass::SpecializeBatchedEntry(&mod, target, options.specialize_length,
                                    options.specialize_batch);
-      if (options.unroll_specialized_loop) {
-        // The bound is now a constant: flatten the recursion (steps + the
-        // final exit test) into straight-line IR.
-        pass::UnrollBatchedLoop(&mod, target, options.specialize_length + 2);
-      }
+      // The bound is now a constant: flatten the recursion (steps + the
+      // final exit test) into straight-line IR.
+      pass::UnrollBatchedLoop(&mod, target, options.specialize_length + 2);
     }
   }
 
   pass::InferTypes(&mod);
-  if (options.fold_constants) pass::FoldConstants(&mod);
+  pass::FoldConstants(&mod);
   if (options.fuse_lstm_cell) result.lstm_cells_fused = pass::FuseLSTMCell(&mod);
   pass::ToANF(&mod);
   pass::InferTypes(&mod);
@@ -58,7 +53,6 @@ CompileResult Compile(ir::Module& mod, const CompileOptions& options) {
   for (const vm::BatchedEntrySpec& spec : options.batched_entries) {
     vm::BatchedEntrySpec stamped = spec;
     if (options.specialize_length > 0 &&
-        spec.layout == vm::BatchedEntrySpec::Layout::kTimeMajor &&
         !spec.exact_batched_function.empty()) {
       stamped.batched_function = spec.exact_batched_function;
     }

@@ -24,7 +24,6 @@ namespace nimble {
 namespace core {
 
 struct CompileOptions {
-  bool fold_constants = true;
   bool fuse_ops = true;
   bool fuse_lstm_cell = true;
   bool memory_plan = true;
@@ -52,9 +51,10 @@ struct CompileOptions {
   /// serving layer's tensor-batching path (src/batch/) discovers them.
   std::vector<vm::BatchedEntrySpec> batched_entries;
   /// Shape-bucket specialization (§4.5 extended from kernels to whole
-  /// executables; consumed by serve::ExecCache). When > 0, every time-major
-  /// batched entry above is specialized to this exact packed sequence
-  /// length before the pipeline runs (pass::SpecializeBatchedEntry), and
+  /// executables; consumed by serve::ExecCache). When > 0, every batched
+  /// entry above is specialized to this exact packed sequence length and
+  /// its recursion unrolled into straight-line bytecode before the pipeline
+  /// runs (pass::SpecializeBatchedEntry, pass::UnrollBatchedLoop), and
   /// the produced executable is stamped as a *variant*
   /// (vm::Executable::variant): the packing layer only routes batches whose
   /// requests all have exactly this length to it.
@@ -65,12 +65,6 @@ struct CompileOptions {
   /// variant then only accepts full batches of exactly this size; 0 keeps
   /// the batch dimension symbolic.
   int64_t specialize_batch = 0;
-  /// With specialize_length: unroll the batched entry's recursion into
-  /// straight-line bytecode (pass::UnrollBatchedLoop) — the loop bound is a
-  /// baked constant, so the per-step call frame, branch and counter
-  /// arithmetic disappear from the hot path at the cost of
-  /// specialize_length copies of the step body in the executable.
-  bool unroll_specialized_loop = true;
 };
 
 struct CompileResult {

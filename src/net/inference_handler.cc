@@ -629,7 +629,6 @@ Json InferenceHandler::MemoryJson(size_t n) const {
   pressure.Set("pressure", p != nullptr ? p->pressure() : 0.0);
   if (p != nullptr) {
     pressure.Set("soft_limit_bytes", p->config().soft_limit_bytes);
-    pressure.Set("shed", p->config().shed);
     pressure.Set("shed_threshold", p->config().shed_threshold);
   }
   doc.Set("pressure", std::move(pressure));

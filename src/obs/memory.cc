@@ -17,6 +17,10 @@ const char* kPoolEventNames[kNumPoolEvents] = {
     "hit", "miss", "refill", "free",
 };
 
+/// Rate limit for over-limit WARN logs (the gauge itself updates every
+/// poll).
+constexpr int64_t kPressureWarnIntervalNs = 5'000'000'000;
+
 // On by default; constant-initialized and trivially destructible, so it is
 // safe to consult from allocator teardown during static destruction.
 std::atomic<bool> g_telemetry_enabled{true};
@@ -146,8 +150,7 @@ double MemoryPressure::CheckOnce(SteadyClock::time_point now) {
                          now.time_since_epoch())
                          .count();
     int64_t last = last_warn_ns_.load(std::memory_order_relaxed);
-    int64_t interval_ns = config_.warn_interval_ms * 1000000;
-    if ((last == 0 || now_ns - last >= interval_ns) &&
+    if ((last == 0 || now_ns - last >= kPressureWarnIntervalNs) &&
         last_warn_ns_.compare_exchange_strong(last, now_ns,
                                               std::memory_order_relaxed)) {
       NIMBLE_LOG(WARNING) << "memory pressure " << pressure << ": " << live

@@ -154,19 +154,15 @@ struct MemoryPressureConfig {
   /// Soft limit on live bytes across the server's allocator scopes;
   /// 0 disables the pressure plane entirely (no poll, never sheds).
   int64_t soft_limit_bytes = 0;
-  /// Whether admission consults the gauge: at pressure >= shed_threshold,
+  /// Admission consults the gauge: at pressure >= shed_threshold,
   /// Server::TrySubmit* answer queue-full (the HTTP front end's 429)
-  /// instead of admitting. Off, the gauge is observability only.
-  bool shed = true;
+  /// instead of admitting.
   double shed_threshold = 1.0;
-  /// Rate limit for over-limit WARN logs (the gauge itself updates every
-  /// poll).
-  int64_t warn_interval_ms = 5000;
 };
 
 /// The soft-limit gauge. CheckOnce samples the live-byte source, publishes
-/// live/soft_limit to the gauge, and WARN-logs (rate-limited, same CAS
-/// discipline as the stall watchdog) while over the limit. It owns no
+/// live/soft_limit to the gauge, and WARN-logs (at most once per 5 s, same
+/// CAS discipline as the stall watchdog) while over the limit. It owns no
 /// thread: the server hangs it off the StallWatchdog's poll loop.
 class MemoryPressure {
  public:
@@ -191,11 +187,11 @@ class MemoryPressure {
     return pressure_.load(std::memory_order_relaxed);
   }
 
-  /// True when shedding is configured and the last poll was at or over
-  /// the threshold. Admission hot path: two relaxed loads, no sampling —
-  /// staleness is bounded by the watchdog poll interval.
+  /// True when the last poll was at or over the shed threshold. Admission
+  /// hot path: two relaxed loads, no sampling — staleness is bounded by
+  /// the watchdog poll interval.
   bool should_shed() const {
-    return config_.shed && pressure() >= config_.shed_threshold;
+    return pressure() >= config_.shed_threshold;
   }
 
   const MemoryPressureConfig& config() const { return config_; }

@@ -37,6 +37,13 @@ std::vector<StepRecord> StepJournal::Tail(size_t n) const {
   return out;
 }
 
+namespace {
+
+/// Rate limit for stall WARN logs: at most one per interval.
+constexpr int64_t kStallWarnIntervalNs = 5'000'000'000;
+
+}  // namespace
+
 StallWatchdog::StallWatchdog(StallWatchdogConfig config, HealthSource source)
     : config_(std::move(config)), source_(std::move(source)) {
   NIMBLE_CHECK(source_ != nullptr);
@@ -45,7 +52,6 @@ StallWatchdog::StallWatchdog(StallWatchdogConfig config, HealthSource source)
 StallWatchdog::~StallWatchdog() { Stop(); }
 
 void StallWatchdog::Start() {
-  if (!config_.enabled) return;
   NIMBLE_CHECK(!thread_.joinable()) << "StallWatchdog started twice";
   thread_ = std::thread([this] { Loop(); });
 }
@@ -88,10 +94,9 @@ int StallWatchdog::CheckOnce(SteadyClock::time_point now) {
     if (!is_stalled) continue;
     stalled++;
     // Rate-limited WARN: CAS the last-log stamp forward so a wedged runner
-    // logs once per warn_interval, not once per poll.
+    // logs once per warn interval, not once per poll.
     int64_t last = last_warn_ns_.load(std::memory_order_relaxed);
-    int64_t interval_ns = config_.warn_interval_ms * 1'000'000;
-    if (now_ns - last >= interval_ns &&
+    if (now_ns - last >= kStallWarnIntervalNs &&
         last_warn_ns_.compare_exchange_strong(last, now_ns,
                                               std::memory_order_relaxed)) {
       NIMBLE_LOG(WARNING)

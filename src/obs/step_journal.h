@@ -138,16 +138,11 @@ struct RunnerHealth {
 };
 
 struct StallWatchdogConfig {
-  /// Off: no watchdog thread is started.
-  bool enabled = true;
   /// A runner with live rows but no step completed within this deadline is
   /// declared stalled.
   int64_t stall_deadline_ms = 2000;
   /// How often the watchdog polls the health source.
   int64_t poll_interval_ms = 200;
-  /// Rate limit for stall WARN logs: at most one per this interval (the
-  /// gauge still flips immediately).
-  int64_t warn_interval_ms = 5000;
 };
 
 /// Watches continuous runners for wedged steps. Owns one polling thread
@@ -165,15 +160,16 @@ class StallWatchdog {
   StallWatchdog(const StallWatchdog&) = delete;
   StallWatchdog& operator=(const StallWatchdog&) = delete;
 
-  /// Starts the polling thread. Call at most once; no-op when disabled.
+  /// Starts the polling thread. Call at most once.
   void Start();
   /// Stops and joins the polling thread. Idempotent.
   void Stop();
 
   /// One poll pass at time `now`: samples the health source, updates every
   /// runner's stalled gauge (1 = stalled, 0 = healthy), WARN-logs new
-  /// stalls rate-limited, runs the auxiliary check (if set), and returns
-  /// how many runners are stalled. Thread-safe.
+  /// stalls at most once per 5 s (the gauge still flips immediately), runs
+  /// the auxiliary check (if set), and returns how many runners are
+  /// stalled. Thread-safe.
   int CheckOnce(SteadyClock::time_point now);
 
   /// Hangs an extra periodic check off this watchdog's polling thread

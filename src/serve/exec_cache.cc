@@ -115,7 +115,7 @@ void ExecCache::CompileLoop() {
     // stays symbolic), so that is the M the tuner measures. TuneCache
     // memoizes per exact shape: the first variant of a shape pays for the
     // measurement, every later one — any length, any cache — reuses it.
-    codegen::DenseConfig dense_config = config_.default_dense_config;
+    codegen::DenseConfig dense_config;
     bool tuned = false;
     bool fresh_tune = false;
     if (config_.tune_n > 0 && config_.tune_k > 0) {

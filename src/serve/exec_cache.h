@@ -101,14 +101,10 @@ struct ExecCacheConfig {
   /// dim stays symbolic) x [tune_n, tune_k] — memoized process-wide in
   /// codegen::TuneCache, so one shape is measured once no matter how many
   /// variants or caches bake it — is handed to CompileVariantFn and
-  /// stamped on the variant. 0 disables tuning; variants then bake
-  /// `default_dense_config`.
+  /// stamped on the variant. 0 disables tuning; variants then bake the
+  /// generic `codegen::DenseConfig{}`.
   int64_t tune_n = 0;
   int64_t tune_k = 0;
-  /// Config baked when tuning is disabled (or as the pre-tune transfer
-  /// default): typically TuneDenseSymbolic's transferred choice for the
-  /// model family, or the generic DenseConfig default.
-  codegen::DenseConfig default_dense_config;
   /// Timed repetitions per tuning measurement (min-of-N).
   int tune_repeats = 3;
 };

@@ -130,7 +130,7 @@ void Server::Start() {
                            "Live bytes across server allocator scopes / "
                            "soft limit (0 when no limit is configured)"));
   }
-  if ((!watched.empty() || pressure_ != nullptr) && config_.watchdog.enabled) {
+  if (!watched.empty() || pressure_ != nullptr) {
     // The health source copies the watch list; runner pointers stay valid
     // until ~Server, and the watchdog is stopped first in Drain anyway.
     // The same poll loop carries the memory-pressure check (one

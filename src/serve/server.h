@@ -109,9 +109,9 @@ struct ServeConfig {
   /// Memory-pressure configuration (src/obs/memory.h). soft_limit_bytes 0
   /// (the default) disables the pressure plane; set it to poll live bytes
   /// across every server allocator scope off the watchdog thread, export
-  /// nimble_mem_pressure, and — when `shed` is on — answer queue-full from
-  /// TrySubmit* at pressure >= shed_threshold (the HTTP front end's 429)
-  /// before the allocators OOM.
+  /// nimble_mem_pressure, and answer queue-full from TrySubmit* at
+  /// pressure >= shed_threshold (the HTTP front end's 429) before the
+  /// allocators OOM.
   obs::MemoryPressureConfig memory;
 };
 

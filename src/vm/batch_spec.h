@@ -5,8 +5,7 @@
 // A model builder that emits a batched twin of an entry function describes
 // it with a BatchedEntrySpec; core::Compile copies the specs into the
 // vm::Executable (CompileOptions::batched_entries), where the serving layer
-// discovers them. The spec's `layout` selects the packing convention; the
-// default time-major layout pins down:
+// discovers them. Every spec uses one time-major packing convention:
 //
 //   per-request:  function(seq: [len, D], len: i64, ...) -> [1, W]
 //   batched:      batched_function(packed:  [Lmax, B, D],   // time-major
@@ -31,26 +30,6 @@ namespace nimble {
 namespace vm {
 
 struct BatchedEntrySpec {
-  /// How the serving layer lays requests out in the packed tensor.
-  enum class Layout : int32_t {
-    /// Padded time-major [Lmax, B, D] (the recurrent-model convention
-    /// described above): step t of every request shares one slice, rows
-    /// beyond a request's length are zero and frozen by the model's
-    /// masking.
-    kTimeMajor = 0,
-    /// Batch-major row map: requests' rows are concatenated with NO padding
-    /// into [R, D] (R = sum of lengths) and a host-side row map remembers
-    /// each request's row range. The batched function maps rows to rows —
-    ///   batched_function(packed: [R, D]) -> [R, W]
-    /// (no max_len/lengths/state arguments) — so it is only sound for
-    /// feed-forward entries whose output row r depends on input row r
-    /// alone; row-independence also makes results bit-identical to
-    /// per-request execution for free. Unpacking slices each request's
-    /// [len, W] row range back out. A row-independent model may simply name
-    /// its per-request entry as its own batched_function.
-    kBatchMajorRowMap = 1,
-  };
-
   /// Per-request entry point this spec batches (usually "main").
   std::string function;
   /// Packed twin emitted by the model builder (usually "main_batched").
@@ -67,7 +46,7 @@ struct BatchedEntrySpec {
   std::string exact_batched_function;
   /// Optional single-step twin for continuous (iteration-level) batching:
   /// ONE recurrence step over a persistent slot-map of rows instead of a
-  /// whole padded flight. Time-major only. Calling convention:
+  /// whole padded flight. Calling convention:
   ///
   ///   step_function(x_t:    [B, D] float32,   // this step's row per slot
   ///                 active: [B, 1] int64,     // 1 = slot holds a live row
@@ -89,8 +68,6 @@ struct BatchedEntrySpec {
   /// an LSTM, the last layer's h). Only meaningful when step_function is
   /// set.
   int32_t result_state = 0;
-  /// Packing layout; selects the calling convention above.
-  Layout layout = Layout::kTimeMajor;
   /// Index of the per-request argument holding the [len, D] float32 sequence.
   int32_t seq_arg = 0;
   /// Index of the per-request i64 scalar argument holding the true sequence

@@ -11,16 +11,16 @@ namespace vm {
 namespace {
 
 constexpr uint32_t kMagic = 0x4e4d424cu;  // "NMBL"
-// Layout (version 7), every field little-endian as written by WritePod:
+// Layout (version 8), every field little-endian as written by WritePod:
 //   magic, version, dense dispatch variant count (uint32);
 //   constants, packed-function entries and VM functions, each
 //     length-prefixed;
 //   batched-entry specs (src/vm/batch_spec.h): function names, step twin
-//     and result state, layout kind, argument indices and widths;
+//     and result state, argument indices and widths;
 //   the shape-bucket variant trailer (Executable::VariantInfo);
 //   the dense cache-blocking config (block_n, block_k, tuned flag).
 // Load accepts exactly this version; any other is rejected.
-constexpr uint32_t kVersion = 7;
+constexpr uint32_t kVersion = 8;
 
 // ---- primitive writers/readers ---------------------------------------------
 
@@ -220,7 +220,6 @@ void Executable::Save(std::ostream& os) const {
     WriteString(os, spec.exact_batched_function);
     WriteString(os, spec.step_function);
     WritePod<int32_t>(os, spec.result_state);
-    WritePod<int32_t>(os, static_cast<int32_t>(spec.layout));
     WritePod<int32_t>(os, spec.seq_arg);
     WritePod<int32_t>(os, spec.len_arg);
     WritePod<int32_t>(os, spec.feature_width);
@@ -278,7 +277,6 @@ std::shared_ptr<Executable> Executable::Load(std::istream& is) {
     spec.exact_batched_function = ReadString(is);
     spec.step_function = ReadString(is);
     spec.result_state = ReadPod<int32_t>(is);
-    spec.layout = static_cast<BatchedEntrySpec::Layout>(ReadPod<int32_t>(is));
     spec.seq_arg = ReadPod<int32_t>(is);
     spec.len_arg = ReadPod<int32_t>(is);
     spec.feature_width = ReadPod<int32_t>(is);

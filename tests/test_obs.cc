@@ -566,7 +566,7 @@ TEST(StallWatchdog, CheckOnceProvokesAndClearsStall) {
   health.model = "m";
   health.stalled_gauge = &gauge;
   obs::StallWatchdogConfig config;
-  config.enabled = false;  // no thread: CheckOnce drives the clock by hand
+  // Never started (no thread): CheckOnce drives the clock by hand.
   config.stall_deadline_ms = 100;
   obs::StallWatchdog watchdog(
       config, [&health] { return std::vector<obs::RunnerHealth>{health}; });

@@ -8,6 +8,7 @@
 #include <chrono>
 #include <cstring>
 #include <future>
+#include <memory>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -628,33 +629,47 @@ TEST(Serve, SkewedArrivalsDontStarveTheLightModel) {
   LSTMFixture heavy(kFlood, /*hidden_size=*/12, /*seed=*/7);
   LSTMFixture light(kTrickle, /*hidden_size=*/12, /*seed=*/13);
 
-  serve::ServeConfig config;
-  config.num_workers = 1;  // a single worker makes dispatch order observable
-  serve::Server server(config);
-  serve::ModelConfig model;
-  model.batch.max_batch_size = 4;
-  model.batch.max_wait_micros = 200000;  // full buckets only: pure DRR order
-  model.queue_capacity = 256;
-  model.exec = heavy.exec;
-  server.AddModel("flood", model);
-  model.exec = light.exec;
-  server.AddModel("trickle", std::move(model));
-  server.Start();
+  obs::MetricRegistry registry;
+  serve::ModelState flood(registry, "flood");
+  serve::ModelState trickle(registry, "trickle");
+  flood.index = 0;
+  flood.exec = heavy.exec;
+  trickle.index = 1;
+  trickle.exec = light.exec;
+  for (serve::ModelState* model : {&flood, &trickle}) {
+    model->policy.max_batch_size = 4;
+    model->policy.max_wait_micros = 200000;  // full buckets only: pure DRR
+    model->queue = std::make_unique<serve::RequestQueue>(256);
+  }
+  serve::VMPool pool(1);  // a single worker makes dispatch order observable
+  serve::BatchScheduler scheduler({&flood, &trickle}, &pool);
 
   // The flood is fully enqueued before the trickle arrives — the worst case
-  // for the light model under FIFO scheduling.
+  // for the light model under FIFO scheduling. Both queues are filled before
+  // the scheduler starts, so nothing is dispatched while they fill.
+  auto enqueue = [](serve::ModelState& model,
+                    std::vector<runtime::ObjectRef> args, int64_t length_hint) {
+    serve::Request request;
+    request.args = std::move(args);
+    request.length_hint = length_hint;
+    request.enqueue_time = serve::Clock::now();
+    auto future = request.promise.get_future();
+    EXPECT_TRUE(model.queue->Push(request));
+    return future;
+  };
   std::vector<std::future<runtime::ObjectRef>> flood_futures;
   for (int i = 0; i < kFlood; ++i) {
     flood_futures.push_back(
-        server.Submit("flood", heavy.ArgsFor(i), heavy.lengths[i]));
+        enqueue(flood, heavy.ArgsFor(i), heavy.lengths[i]));
   }
   // Constant length hint: all trickle requests land in one bucket, so they
   // form full batches that must go through DRR dispatch (not expiry).
   std::vector<std::future<runtime::ObjectRef>> trickle_futures;
   for (int i = 0; i < kTrickle; ++i) {
     trickle_futures.push_back(
-        server.Submit("trickle", light.ArgsFor(i), /*length_hint=*/10));
+        enqueue(trickle, light.ArgsFor(i), /*length_hint=*/10));
   }
+  scheduler.Start();
   for (int i = 0; i < kTrickle; ++i) {
     ExpectBitIdentical(AsTensor(trickle_futures[i].get()), light.expected[i],
                        i);
@@ -663,17 +678,23 @@ TEST(Serve, SkewedArrivalsDontStarveTheLightModel) {
   // outstanding: under starvation-free DRR the trickle's 2 batches ride
   // alongside ~2 flood batches per round (+ the pool's small buffer), while
   // FIFO would have completed all 96 flood requests first.
-  auto flood_mid = server.stats("flood");
+  auto flood_mid = flood.stats.Snapshot();
   EXPECT_LT(flood_mid.completed, kFlood / 2)
       << "light model waited out the flood: no fairness";
 
   for (int i = 0; i < kFlood; ++i) {
     ExpectBitIdentical(AsTensor(flood_futures[i].get()), heavy.expected[i], i);
   }
-  server.Shutdown();
-  EXPECT_EQ(server.stats("flood").completed, kFlood);
-  EXPECT_EQ(server.stats("trickle").completed, kTrickle);
-  EXPECT_EQ(server.stats().completed, kFlood + kTrickle);
+  flood.queue->Close();
+  trickle.queue->Close();
+  scheduler.Join();
+  pool.Close();
+  pool.Join();
+  EXPECT_EQ(flood.stats.Snapshot().completed, kFlood);
+  EXPECT_EQ(trickle.stats.Snapshot().completed, kTrickle);
+  EXPECT_EQ(serve::ServeStats::SnapshotSum({&flood.stats, &trickle.stats})
+                .completed,
+            kFlood + kTrickle);
 }
 
 // ---- tensor batching (src/batch/) ---------------------------------------------
@@ -1073,8 +1094,6 @@ TEST(ExecCache, VariantSurvivesSaveLoad) {
   EXPECT_EQ(loaded->dispatch_table.num_variants(),
             variant->dispatch_table.num_variants());
   ASSERT_NE(loaded->FindBatched("main"), nullptr);
-  EXPECT_EQ(loaded->FindBatched("main")->layout,
-            vm::BatchedEntrySpec::Layout::kTimeMajor);
 
   std::vector<std::future<runtime::ObjectRef>> futures;
   serve::Batch batch = MakeDirectBatch(fixture, {0, 1, 2, 3}, &futures);
@@ -1318,103 +1337,6 @@ TEST(ExecCache, GenericServesWhileVariantCompiles) {
   EXPECT_EQ(snap.completed, static_cast<int64_t>(lengths.size()));
   EXPECT_EQ(snap.failed, 0);
   EXPECT_GE(snap.cache_misses, 1) << "early batches served generic";
-}
-
-// ---- batch-major row-map packing ----------------------------------------------
-
-/// Row-independent feed-forward model: main(x: [L, D]) = relu(dense(x, w)),
-/// rows map to rows, so its own entry doubles as the batched function under
-/// the row-map layout.
-struct RowMLPFixture {
-  std::shared_ptr<vm::Executable> exec;
-  std::vector<NDArray> inputs;
-  std::vector<int64_t> lengths;
-  std::vector<NDArray> expected;
-
-  explicit RowMLPFixture(std::vector<int64_t> request_lengths,
-                         int64_t D = 8, int64_t W = 6, uint64_t seed = 3) {
-    support::Rng rng(seed);
-    NDArray w = NDArray::Empty({W, D}, runtime::DataType::Float32());
-    w.FillUniform(rng, -0.5, 0.5);
-    ir::Dim L = ir::Dim::FreshSym("L");
-    ir::Var x = ir::MakeVar("x", ir::TensorType({L, ir::Dim::Static(D)}));
-    ir::Module mod;
-    mod.Add("main",
-            ir::MakeFunction(
-                {x}, op::Call1("relu", op::Call2("nn.dense", x,
-                                                 ir::MakeConstant(w)))));
-    vm::BatchedEntrySpec spec;
-    spec.function = "main";
-    spec.batched_function = "main";  // rows map to rows: reuse the entry
-    spec.layout = vm::BatchedEntrySpec::Layout::kBatchMajorRowMap;
-    spec.seq_arg = 0;
-    spec.len_arg = -1;
-    spec.feature_width = static_cast<int32_t>(D);
-    core::CompileOptions opts;
-    opts.batched_entries = {spec};
-    exec = core::Compile(mod, opts).executable;
-
-    lengths = std::move(request_lengths);
-    vm::VirtualMachine sequential(exec);
-    for (int64_t len : lengths) {
-      NDArray seq = models::RandomSequence(len, D, rng);
-      inputs.push_back(seq);
-      expected.push_back(AsTensor(sequential.Invoke("main", {MakeTensor(seq)})));
-    }
-  }
-};
-
-TEST(TensorBatching, RowMapPackedBitIdenticalWithZeroPadding) {
-  RowMLPFixture fixture({5, 1, 7, 3});
-  std::vector<std::future<runtime::ObjectRef>> futures;
-  serve::Batch batch;
-  batch.exec = fixture.exec;
-  for (size_t i = 0; i < fixture.lengths.size(); ++i) {
-    serve::Request request;
-    request.id = static_cast<int64_t>(i);
-    request.args = {MakeTensor(fixture.inputs[i])};
-    request.length_hint = fixture.lengths[i];
-    futures.push_back(request.promise.get_future());
-    batch.requests.push_back(std::move(request));
-  }
-
-  batch::PackCheck check = batch::AnalyzeBatch(*fixture.exec, batch.requests);
-  ASSERT_TRUE(check.ok()) << check.reason;
-  batch::PackPlan plan = batch::PackPlan::Build(*check.spec, batch.requests);
-  EXPECT_EQ(plan.padded_elements(), 0) << "row-map packing never pads";
-  EXPECT_EQ(plan.total_elements(), (5 + 1 + 7 + 3) * 8);
-  auto args = plan.PackArgs(batch.requests, runtime::GlobalNaiveAllocator());
-  ASSERT_EQ(args.size(), 1u) << "row-map convention: just the packed rows";
-  EXPECT_EQ(AsTensor(args[0]).shape(), (runtime::ShapeVec{16, 8}));
-
-  vm::VirtualMachine machine(fixture.exec);
-  auto run = batch::RunBatch(machine, batch, /*tensor_batching=*/true, nullptr);
-  EXPECT_TRUE(run.packed) << run.fallback_reason;
-  EXPECT_EQ(run.padded_elements, 0);
-  for (size_t i = 0; i < futures.size(); ++i) {
-    NDArray out = AsTensor(futures[i].get());
-    ASSERT_EQ(out.shape()[0], fixture.lengths[i]) << "per-request row count";
-    ExpectBitIdentical(out, fixture.expected[i], i);
-  }
-}
-
-TEST(TensorBatching, RowMapRejectsStatefulSpecs) {
-  RowMLPFixture fixture({4, 2});
-  // Forge a stateful row-map spec (via a serialization round trip — the
-  // executable itself is non-copyable): must be rejected, states need the
-  // time-major convention.
-  std::stringstream buffer;
-  fixture.exec->Save(buffer);
-  auto forged = vm::Executable::Load(buffer);
-  forged->batched[0].num_state_args = 1;
-  forged->batched[0].state_width = 4;
-  serve::Request request;
-  request.args = {MakeTensor(fixture.inputs[0])};
-  std::vector<serve::Request> requests;
-  requests.push_back(std::move(request));
-  batch::PackCheck check = batch::AnalyzeBatch(*forged, requests);
-  EXPECT_FALSE(check.ok());
-  EXPECT_NE(check.reason.find("state"), std::string::npos) << check.reason;
 }
 
 TEST(ServeStats, VariantPaddingAndCacheCounters) {

@@ -383,7 +383,7 @@ TEST(Serialization, RejectsOtherFormatVersions) {
   exec->Save(buffer);
   // The version word follows the 4-byte magic; patch it to earlier
   // formats, which the loader no longer reads.
-  for (uint32_t old_version : {5u, 6u}) {
+  for (uint32_t old_version : {5u, 6u, 7u}) {
     std::string image = buffer.str();
     image.replace(4, sizeof(old_version),
                   reinterpret_cast<const char*>(&old_version),
