@@ -16,9 +16,9 @@
 //      registers the same executable as a continuous model "c" (4 slots)
 //      and every 8th request routes there, so the step-level observability
 //      plane is exercised by real wire traffic;
-//   3. overload: a deliberately tiny pipeline (queue 4, 1 worker, 1
-//      pending batch) hammered by extra clients — backpressure must be
-//      429s on the wire, never 5xx, hangs, or drops.
+//   3. overload: a deliberately tiny pipeline (queue 4, 1 worker; the
+//      scheduler's buckets hold at most 4 more) hammered by extra clients —
+//      backpressure must be 429s on the wire, never 5xx, hangs, or drops.
 //
 // --json writes BENCH_http.json with all three phases' numbers for CI,
 // plus five observability artifacts scraped from the phase-2 server
@@ -615,13 +615,12 @@ int main(int argc, char** argv) {
   // Phase 3: overload against a deliberately tiny pipeline. Offered load
   // (extra clients, zero think time) far exceeds queue capacity 4; every
   // excess request must surface as a 429, never a 5xx or a hang.
-  bench::PrintHeader("overload: queue 4, 1 worker, 1 pending batch, " +
+  bench::PrintHeader("overload: queue 4, 1 worker, " +
                      std::to_string(clients * 2) + " clients");
   HttpResult overload;
   {
     serve::ServeConfig config;
     config.num_workers = 1;
-    config.max_pending_batches = 1;
     serve::Server server(config);
     server.AddModel("m", MakeModelConfig(w, 4, kBatch));
     server.Start();

@@ -1,7 +1,8 @@
 // Serving demo: compile the LSTM once, then serve a burst of
 // variable-length requests through the concurrent pipeline
 //
-//   Submit -> RequestQueue -> BatchScheduler -> VMPool -> future
+//   Submit -> RequestQueue -> VMPool worker (pulls BatchScheduler::Next)
+//          -> future
 //
 // and print the stats the server collected (throughput, latency
 // percentiles, batch occupancy).

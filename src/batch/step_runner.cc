@@ -83,9 +83,6 @@ StepRunner::StepRunner(std::shared_ptr<vm::Executable> exec,
   // obs-off half of the overhead A/B pays for no timers).
   vm_->EnableProfiling((tracer_ != nullptr && tracer_->enabled()) ||
                        journal_on_);
-  slot_profiles_.resize(static_cast<size_t>(num_slots_));
-  slot_copied_bytes_.resize(static_cast<size_t>(num_slots_), 0);
-  slot_alloc_bytes_.resize(static_cast<size_t>(num_slots_), 0);
   // Persistent step arguments. Zero-filled: idle rows stay all-zero until a
   // splice claims them, so the very first step reads defined memory.
   auto zeros = [this](runtime::ShapeVec shape, DataType dtype) {
@@ -161,7 +158,6 @@ void StepRunner::Admit(SlotMap& slots, serve::Request request) {
   auto now = serve::Clock::now();
   request.dispatch_time = now;
   if (request.trace.enabled) {
-    request.trace.sched = now;
     request.trace.dispatch = now;
     // No packed tensor is built on this path; the pack span collapses to
     // zero width at the splice boundary, and `packed` stays false — the
@@ -197,16 +193,15 @@ void StepRunner::Admit(SlotMap& slots, serve::Request request) {
                 static_cast<size_t>(spec_->state_width) * sizeof(float));
   }
   // Step-level trace detail: the slot this request occupies and the step
-  // seq its first computed step will carry (the next RunStep).
+  // seq its first computed step will carry (the next RunStep). The trace's
+  // exec profile and byte counts start at zero and accumulate, step by
+  // step, for as long as the request stays resident.
   obs::TraceContext& trace = slots.At(slot).request.trace;
   if (trace.enabled) {
     trace.continuous = true;
     trace.slot = slot;
     trace.splice_step = step_seq_;
   }
-  slot_profiles_[static_cast<size_t>(slot)] = obs::ExecProfile{};
-  slot_copied_bytes_[static_cast<size_t>(slot)] = 0;
-  slot_alloc_bytes_[static_cast<size_t>(slot)] = 0;
   if (journal_on_) {
     pending_events_.push_back(obs::StepEvent{obs::StepEvent::Kind::kSplice,
                                              id, slot, length});
@@ -229,13 +224,15 @@ void StepRunner::RunStep(SlotMap& slots) {
   int64_t* ap = active_.data<int64_t>();
   for (int64_t i = 0; i < B; ++i) {
     if (slots.IsOccupied(i)) {
-      const SlotMap::Slot& slot = slots.At(i);
+      SlotMap::Slot& slot = slots.At(i);
       const NDArray& seq = runtime::AsTensor(
           slot.request.args[static_cast<size_t>(spec_->seq_arg)]);
       std::memcpy(xp + i * D, seq.data<float>() + slot.pos * D,
                   static_cast<size_t>(D) * sizeof(float));
-      slot_copied_bytes_[static_cast<size_t>(i)] +=
-          D * static_cast<int64_t>(sizeof(float));
+      if (slot.request.trace.enabled) {
+        slot.request.trace.copied_bytes +=
+            D * static_cast<int64_t>(sizeof(float));
+      }
       ap[i] = 1;
     } else {
       // Idle rows compute on zeros: deterministic garbage the `where`
@@ -312,23 +309,23 @@ void StepRunner::RunStep(SlotMap& slots) {
   }
 
   // Fold this invocation's VM-profile delta: the journal records it per
-  // step; each live slot accumulates it for the retiring request's trace
-  // (every resident request is attributed the full step, the same
-  // semantics as the packed path).
+  // step; each live slot's trace accumulates it (every resident request is
+  // attributed the full step, the same semantics as the packed path).
   obs::ExecProfile step_vm;
   if (profiling) {
     step_vm = VMProfileSince(*vm_, mark);
     int64_t step_alloc = allocator_->stats().bytes_allocated - alloc_mark;
     for (int64_t i = 0; i < B; ++i) {
       if (!slots.IsOccupied(i)) continue;
-      obs::ExecProfile& acc = slot_profiles_[static_cast<size_t>(i)];
-      acc.kernel_nanos += step_vm.kernel_nanos;
-      acc.shape_func_nanos += step_vm.shape_func_nanos;
-      acc.other_nanos += step_vm.other_nanos;
-      acc.instructions += step_vm.instructions;
+      obs::TraceContext& trace = slots.At(i).request.trace;
+      if (!trace.enabled) continue;
+      trace.vm.kernel_nanos += step_vm.kernel_nanos;
+      trace.vm.shape_func_nanos += step_vm.shape_func_nanos;
+      trace.vm.other_nanos += step_vm.other_nanos;
+      trace.vm.instructions += step_vm.instructions;
       // Allocator traffic is shared per step, like the VM profile: every
       // resident row is attributed the full invocation's delta.
-      slot_alloc_bytes_[static_cast<size_t>(i)] += step_alloc;
+      trace.alloc_bytes += step_alloc;
     }
   }
 
@@ -348,7 +345,6 @@ void StepRunner::RunStep(SlotMap& slots) {
     SlotMap::Slot& slot = slots.At(i);
     slot.pos++;
     if (slot.pos < slot.length) continue;
-    int64_t length = slot.length;
     auto exec_end = obs::SteadyClock::now();
     // Copy, not slice: the request's result must not pin the whole
     // persistent state tensor (same rule as PackPlan::Unpack).
@@ -359,23 +355,12 @@ void StepRunner::RunStep(SlotMap& slots) {
     // Retires are rare (one per request), so a per-row ledger add is fine.
     obs::RecordCopy(obs::CopySite::kStepState,
                     W * static_cast<int64_t>(sizeof(float)));
-    slot_copied_bytes_[static_cast<size_t>(i)] +=
-        W * static_cast<int64_t>(sizeof(float));
-    serve::Request request = slots.Retire(i);
-    if (request.trace.enabled) {
-      request.trace.exec_end = exec_end;
-      request.trace.unpack_end = obs::SteadyClock::now();
-      request.trace.retire_step = step_seq_;
-      request.trace.vm = slot_profiles_[static_cast<size_t>(i)];
-      request.trace.copied_bytes = slot_copied_bytes_[static_cast<size_t>(i)];
-      request.trace.alloc_bytes = slot_alloc_bytes_[static_cast<size_t>(i)];
+    if (slot.request.trace.enabled) {
+      slot.request.trace.copied_bytes +=
+          W * static_cast<int64_t>(sizeof(float));
     }
-    if (journal_on_) {
-      pending_events_.push_back(obs::StepEvent{obs::StepEvent::Kind::kRetire,
-                                               request.id, i, length});
-    }
-    Complete(std::move(request), runtime::MakeTensor(std::move(out)),
-             nullptr);
+    Retire(slots, i, exec_end, obs::SteadyClock::now(),
+           runtime::MakeTensor(std::move(out)), nullptr);
   }
   PublishLiveRows(slots.occupied());
 
@@ -392,24 +377,28 @@ void StepRunner::RunStep(SlotMap& slots) {
 void StepRunner::FailAll(SlotMap& slots, std::exception_ptr error) {
   for (int64_t i = 0; i < num_slots_; ++i) {
     if (!slots.IsOccupied(i)) continue;
-    int64_t length = slots.At(i).length;
-    serve::Request request = slots.Retire(i);
-    if (request.trace.enabled) {
-      auto now = obs::SteadyClock::now();
-      request.trace.exec_end = now;
-      request.trace.unpack_end = now;
-      request.trace.retire_step = step_seq_;
-      request.trace.vm = slot_profiles_[static_cast<size_t>(i)];
-      request.trace.copied_bytes = slot_copied_bytes_[static_cast<size_t>(i)];
-      request.trace.alloc_bytes = slot_alloc_bytes_[static_cast<size_t>(i)];
-    }
-    if (journal_on_) {
-      pending_events_.push_back(obs::StepEvent{obs::StepEvent::Kind::kRetire,
-                                               request.id, i, length});
-    }
-    Complete(std::move(request), nullptr, error);
+    auto now = obs::SteadyClock::now();
+    Retire(slots, i, now, now, nullptr, error);
   }
   PublishLiveRows(0);
+}
+
+void StepRunner::Retire(SlotMap& slots, int64_t i,
+                        obs::SteadyClock::time_point exec_end,
+                        obs::SteadyClock::time_point unpack_end,
+                        ObjectRef result, std::exception_ptr error) {
+  int64_t length = slots.At(i).length;
+  serve::Request request = slots.Retire(i);
+  if (request.trace.enabled) {
+    request.trace.exec_end = exec_end;
+    request.trace.unpack_end = unpack_end;
+    request.trace.retire_step = step_seq_;
+  }
+  if (journal_on_) {
+    pending_events_.push_back(obs::StepEvent{obs::StepEvent::Kind::kRetire,
+                                             request.id, i, length});
+  }
+  Complete(std::move(request), std::move(result), std::move(error));
 }
 
 void StepRunner::PublishLiveRows(int64_t live) {

@@ -144,6 +144,12 @@ class StepRunner {
   /// Fails every live slot with `error` (a thrown step poisons all
   /// in-flight states; fresh requests are unaffected).
   void FailAll(SlotMap& slots, std::exception_ptr error);
+  /// Retires slot `i` at the current step: stamps the trace's exec and
+  /// unpack ends and retire step, records the journal's retire event, and
+  /// completes the request with `result` or `error`.
+  void Retire(SlotMap& slots, int64_t i, obs::SteadyClock::time_point exec_end,
+              obs::SteadyClock::time_point unpack_end,
+              runtime::ObjectRef result, std::exception_ptr error);
   void Complete(serve::Request request, runtime::ObjectRef result,
                 std::exception_ptr error);
   /// Publishes the live-slot count to the watchdog's health source and the
@@ -179,18 +185,6 @@ class StepRunner {
   /// in Admit, retires in RunStep/FailAll); moved into one StepRecord per
   /// step. Runner-thread only; unused when !journal_on_.
   std::vector<obs::StepEvent> pending_events_;
-  /// Per-slot VM-profile accumulation across a tenancy: each live slot is
-  /// attributed the full step delta (the same every-request-gets-the-batch
-  /// semantics as the packed path), zeroed at splice, stamped into the
-  /// retiring request's trace. Runner-thread only.
-  std::vector<obs::ExecProfile> slot_profiles_;
-  /// Per-slot memory attribution across a tenancy, same discipline as
-  /// slot_profiles_: copied bytes are the row's own gather/retire traffic,
-  /// alloc bytes the shared per-step allocator delta (profiling on only).
-  /// Zeroed at splice, stamped into the retiring request's trace.
-  /// Runner-thread only.
-  std::vector<int64_t> slot_copied_bytes_;
-  std::vector<int64_t> slot_alloc_bytes_;
   std::atomic<int64_t> requests_completed_{0};
   std::atomic<int64_t> live_rows_{0};
   std::atomic<int64_t> steps_completed_{0};

@@ -5,7 +5,6 @@
 //
 //   admit      handler received the request (body decode starts)
 //   enqueue    admitted into the model's RequestQueue
-//   sched      the batch scheduler formed this request's batch
 //   dispatch   a pool worker picked the batch up
 //   pack_start / pack_end     PackPlan pack (equal on the per-request path)
 //   exec_end   batched VM invocation returned; the exec span additionally
@@ -100,7 +99,6 @@ struct TraceContext {
   }
   SteadyClock::time_point admit{};
   SteadyClock::time_point enqueue{};
-  SteadyClock::time_point sched{};
   SteadyClock::time_point dispatch{};
   SteadyClock::time_point pack_start{};
   SteadyClock::time_point pack_end{};

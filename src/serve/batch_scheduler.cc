@@ -15,17 +15,15 @@ int BatchPolicy::BucketOf(int64_t length) const {
   return static_cast<int>(it - bucket_edges.begin());
 }
 
-bool BatchScheduler::PerModel::HasFullBucket() const {
+int BatchScheduler::PerModel::FullBucket() const {
   auto full = static_cast<size_t>(state->policy.max_batch_size);
-  for (const auto& bucket : pending) {
-    if (bucket.size() >= full) return true;
+  for (size_t b = 0; b < pending.size(); ++b) {
+    if (pending[b].size() >= full) return static_cast<int>(b);
   }
-  return false;
+  return -1;
 }
 
-BatchScheduler::BatchScheduler(std::vector<ModelState*> models, VMPool* pool)
-    : pool_(pool) {
-  NIMBLE_CHECK(pool_ != nullptr);
+BatchScheduler::BatchScheduler(std::vector<ModelState*> models) {
   NIMBLE_CHECK(!models.empty()) << "scheduler needs at least one model";
   per_model_.reserve(models.size());
   for (ModelState* state : models) {
@@ -44,28 +42,6 @@ BatchScheduler::BatchScheduler(std::vector<ModelState*> models, VMPool* pool)
     per_model_.push_back(std::move(pm));
     state->queue->set_notifier(&notifier_);
   }
-}
-
-BatchScheduler::~BatchScheduler() {
-  // The loop only exits once every queue is closed and drained; close here
-  // so destroying a started scheduler never deadlocks in Join (idempotent —
-  // Server::Shutdown has usually closed the queues already).
-  for (PerModel& m : per_model_) m.state->queue->Close();
-  Join();
-}
-
-void BatchScheduler::Start() {
-  NIMBLE_CHECK(!thread_.joinable()) << "scheduler already started";
-  thread_ = std::thread([this] { Loop(); });
-}
-
-void BatchScheduler::Join() {
-  if (thread_.joinable()) thread_.join();
-}
-
-int64_t BatchScheduler::Quantum(const PerModel& m) const {
-  return static_cast<int64_t>(m.state->weight) *
-         static_cast<int64_t>(m.state->policy.max_batch_size);
 }
 
 Clock::time_point BatchScheduler::NextDeadline() const {
@@ -92,20 +68,26 @@ bool BatchScheduler::AllQueuesClosed() const {
   return true;
 }
 
-void BatchScheduler::Drain() {
+bool BatchScheduler::Drain() {
+  bool capped = false;
   for (PerModel& m : per_model_) {
-    while (auto request = m.state->queue->TryPop()) {
+    size_t backlog = 0;
+    for (const auto& bucket : m.pending) backlog += bucket.size();
+    size_t cap = m.state->queue->capacity();
+    for (; backlog < cap; ++backlog) {
+      auto request = m.state->queue->TryPop();
+      if (!request) break;
       int bucket = m.state->policy.BucketOf(request->length_hint);
       m.pending[static_cast<size_t>(bucket)].push_back(std::move(*request));
     }
+    if (backlog >= cap && !m.state->queue->empty()) capped = true;
   }
+  return capped;
 }
 
-int64_t BatchScheduler::Flush(PerModel& m, int bucket) {
+Batch BatchScheduler::Flush(PerModel& m, int bucket) {
   auto& pending = m.pending[static_cast<size_t>(bucket)];
-  if (pending.empty()) return 0;
   Batch batch;
-  batch.model = m.state->index;
   batch.exec = m.state->exec;
   batch.stats = &m.state->stats;
   batch.tensor_batching = m.state->policy.tensor_batching;
@@ -177,98 +159,88 @@ int64_t BatchScheduler::Flush(PerModel& m, int bucket) {
     }
   }
 
-  // Scheduler-dispatch stamp: splits each trace's queue span into
-  // admission-queue time (enqueue -> sched) and pool-queue time (sched ->
-  // worker pickup) for anyone reading raw records; one clock read covers
-  // the whole batch.
-  if (batch.tracer != nullptr && batch.tracer->enabled()) {
-    auto now = Clock::now();
-    for (Request& request : batch.requests) {
-      if (request.trace.enabled) request.trace.sched = now;
-    }
-  }
-
-  int64_t take = static_cast<int64_t>(batch.requests.size());
   m.state->stats.RecordBatch(batch.requests.size());
-  pool_->Submit(std::move(batch));  // blocks under pool backpressure
-  return take;
+  return batch;
 }
 
-bool BatchScheduler::DispatchRound() {
-  const size_t n = per_model_.size();
-  bool dispatched = false;
-  for (size_t k = 0; k < n; ++k) {
-    PerModel& m = per_model_[(rr_ + k) % n];
-    if (!m.HasFullBucket()) {
-      m.deficit = 0;  // classic DRR: nothing ready forfeits the credit
-      continue;
-    }
-    m.deficit += Quantum(m);
-    while (m.deficit > 0 && m.HasFullBucket()) {
-      auto full = static_cast<size_t>(m.state->policy.max_batch_size);
-      for (size_t b = 0; b < m.pending.size(); ++b) {
-        if (m.pending[b].size() >= full) {
-          m.deficit -= Flush(m, static_cast<int>(b));
-          dispatched = true;
-          break;
-        }
-      }
-    }
-  }
-  rr_ = (rr_ + 1) % n;
-  return dispatched;
-}
-
-bool BatchScheduler::FlushExpired(Clock::time_point now) {
-  const size_t n = per_model_.size();
-  bool dispatched = false;
-  for (size_t k = 0; k < n; ++k) {
-    PerModel& m = per_model_[(rr_ + k) % n];
+std::optional<Batch> BatchScheduler::PickExpired(Clock::time_point now) {
+  PerModel* pick = nullptr;
+  int pick_bucket = -1;
+  auto oldest = Clock::time_point::max();
+  for (PerModel& m : per_model_) {
     auto max_wait = std::chrono::microseconds(m.state->policy.max_wait_micros);
     for (size_t b = 0; b < m.pending.size(); ++b) {
-      while (!m.pending[b].empty() &&
-             m.pending[b].front().enqueue_time + max_wait <= now) {
-        Flush(m, static_cast<int>(b));
-        dispatched = true;
+      if (m.pending[b].empty()) continue;
+      Clock::time_point front = m.pending[b].front().enqueue_time;
+      if (front + max_wait <= now && front < oldest) {
+        oldest = front;
+        pick = &m;
+        pick_bucket = static_cast<int>(b);
       }
     }
   }
-  return dispatched;
+  if (pick == nullptr) return std::nullopt;
+  return Flush(*pick, pick_bucket);
 }
 
-void BatchScheduler::FlushAll() {
-  for (PerModel& m : per_model_) {
-    for (size_t b = 0; b < m.pending.size(); ++b) {
-      while (!m.pending[b].empty()) Flush(m, static_cast<int>(b));
+std::optional<Batch> BatchScheduler::PickFull() {
+  // One fresh visit per model suffices: a model with a full bucket always
+  // dispatches on a fresh visit, so n + 1 steps cover the cursor's
+  // possibly-spent current visit plus every model once.
+  const size_t n = per_model_.size();
+  for (size_t k = 0; k <= n; ++k) {
+    PerModel& m = per_model_[rr_];
+    int full = m.FullBucket();
+    if (full < 0) {
+      m.deficit = 0;  // classic DRR: nothing ready forfeits the credit
+    } else {
+      if (!m.credited) {
+        m.deficit += static_cast<int64_t>(m.state->weight) *
+                     m.state->policy.max_batch_size;
+        m.credited = true;
+      }
+      if (m.deficit > 0) {
+        Batch batch = Flush(m, full);
+        m.deficit -= static_cast<int64_t>(batch.requests.size());
+        return batch;
+      }
     }
+    m.credited = false;
+    rr_ = (rr_ + 1) % n;
   }
+  return std::nullopt;
 }
 
-void BatchScheduler::Loop() {
+std::optional<Batch> BatchScheduler::Next() {
+  std::unique_lock<std::mutex> lock(mu_);
   while (true) {
     // Capture the notifier version BEFORE draining: a push that lands after
     // this line bumps the version, so the wait below returns immediately
-    // instead of losing the wakeup.
+    // instead of losing the wakeup. Closed queues cannot refill, so reading
+    // closed() before the drain makes "drained empty" final.
     uint64_t seen = notifier_.version();
-    // Keep rotating DRR rounds while work is dispatchable, re-draining
-    // between rounds: flushes block under pool backpressure, and requests
-    // admitted meanwhile must join the rotation, not wait out a backlog.
-    bool progress = true;
-    while (progress) {
-      Drain();
-      progress = DispatchRound();
-      if (FlushExpired(Clock::now())) progress = true;
+    bool closed = AllQueuesClosed();
+    bool capped = Drain();
+    // After Close every pending bucket counts as expired: leftovers are
+    // handed out whatever their size, oldest first.
+    auto now = closed ? Clock::time_point::max() : Clock::now();
+    std::optional<Batch> batch = PickExpired(now);
+    if (!batch) batch = PickFull();
+    if (batch) {
+      lock.unlock();
+      // Taking a batch lowered the backlog; let an idle worker drain what
+      // the capacity bound left queued instead of sleeping to a deadline.
+      if (capped) notifier_.Notify();
+      return batch;
     }
-    if (AllQueuesClosed()) {
-      // Closed queues cannot refill; one final drain empties them for good,
-      // then everything still pending is flushed regardless of batch size.
-      Drain();
-      while (DispatchRound()) {
-      }
-      FlushAll();
-      return;
-    }
-    notifier_.WaitUntil(seen, NextDeadline());
+    // Closed and nothing picked means nothing is pending, so the drain
+    // emptied every queue (the backlog bound cannot bind on an empty
+    // backlog): end of stream.
+    if (closed) return std::nullopt;
+    Clock::time_point deadline = NextDeadline();
+    lock.unlock();
+    notifier_.WaitUntil(seen, deadline);
+    lock.lock();
   }
 }
 

@@ -16,27 +16,33 @@
 //     has waited this long (bounds the latency cost of batching).
 //
 // Fairness (multi-model): full buckets are dispatched in deficit-round-robin
-// order. Each model visited in the round gains `weight * max_batch_size`
+// order. Each model the DRR cursor visits gains `weight * max_batch_size`
 // requests of credit and may dispatch full batches while its credit lasts; a
 // model with nothing ready forfeits its credit (classic DRR), so an idle
 // model banks nothing but a backlogged one is never crowded out — a model
 // flooding its own queue cannot consume more than its weight's share of
-// dispatch slots. Expired buckets bypass the credit check: the
-// max_wait_micros latency bound outranks fairness accounting (and itself
-// guarantees no request waits unboundedly).
+// dispatch slots. Expired buckets are served first, oldest front request
+// first, and bypass the credit check: the max_wait_micros latency bound
+// outranks fairness accounting (and itself guarantees no request waits
+// unboundedly, so a stream of full buckets cannot starve a cold one).
 //
-// Threading: one scheduler thread owns all pending buckets and deficit
-// counters. It sleeps on a ChannelNotifier shared by every model's
-// RequestQueue, so a push to any queue (or any Close) wakes it; no locks
-// beyond each queue's own. The scheduler exits — flushing every pending
-// bucket — once every queue is closed and drained.
+// Threading: the scheduler is passive — it owns no thread. Each VMPool
+// worker calls Next() when it is ready for work, and Next() forms that
+// batch at pickup, under one scheduler mutex held only while forming it
+// (never while a batch runs). A worker with nothing to take sleeps on a
+// ChannelNotifier shared by every model's RequestQueue, so a push to any
+// queue (or any Close) wakes it, as does the next bucket deadline.
+// Buffering stays bounded: a model's queue is drained into its buckets only
+// while its bucketed backlog is below its queue capacity, so a stalled pool
+// leaves the admission queue full and admission sheds.
 #pragma once
 
 #include <cstdint>
 #include <deque>
 #include <memory>
+#include <mutex>
+#include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "src/obs/step_journal.h"
@@ -45,7 +51,6 @@
 #include "src/serve/request.h"
 #include "src/serve/request_queue.h"
 #include "src/serve/stats.h"
-#include "src/serve/vm_pool.h"
 
 namespace nimble {
 namespace serve {
@@ -94,11 +99,11 @@ struct BatchPolicy {
 /// keeps per model — its own bounded admission queue (so backpressure and
 /// load shedding are per model), its batching policy, its DRR weight, and
 /// its stats. Owned by the Server; the scheduler borrows stable pointers.
-/// The queue is written by client threads and drained by the scheduler
-/// thread; `stats` is written by client threads (enqueues/rejections), the
-/// scheduler (batches), and pool workers (completions) — its instruments
-/// are lock-free. All other fields are set before Start() and read-only
-/// after.
+/// The queue is written by client threads and drained inside
+/// BatchScheduler::Next; `stats` is written by client threads
+/// (enqueues/rejections) and pool workers (batches, completions) — its
+/// instruments are lock-free. All other fields are set before Start() and
+/// read-only after.
 struct ModelState {
   /// `stats` registers the model's series in `registry`, which must
   /// outlive this state.
@@ -135,18 +140,18 @@ struct ModelState {
 
 class BatchScheduler {
  public:
-  /// `models` (the pointed-to states) and `pool` must outlive the
-  /// scheduler. The constructor attaches its notifier to every model's
-  /// queue, so it must run before any request is admitted.
-  BatchScheduler(std::vector<ModelState*> models, VMPool* pool);
-  ~BatchScheduler();
+  /// `models` (the pointed-to states) must outlive the scheduler. The
+  /// constructor attaches its notifier to every model's queue, so it must
+  /// run before any request is admitted.
+  explicit BatchScheduler(std::vector<ModelState*> models);
 
-  /// Launches the scheduler thread. Call at most once.
-  void Start();
-
-  /// Waits for the thread to exit. The scheduler exits — flushing every
-  /// pending bucket — once every model's queue is closed and drained.
-  void Join();
+  /// Blocks until a batch is ready and returns it: drains the admission
+  /// queues into the buckets, then picks expired buckets first (oldest
+  /// front request first, regardless of credit) and full buckets in DRR
+  /// order after that. Once every queue is closed, leftover partial buckets
+  /// are handed out whatever their size; when nothing is left, returns
+  /// nullopt (end of stream). Thread-safe: every pool worker calls it.
+  std::optional<Batch> Next();
 
  private:
   /// Scheduler-private view of one model: its pending buckets (FIFO per
@@ -156,45 +161,43 @@ class BatchScheduler {
     ModelState* state = nullptr;
     std::vector<std::deque<Request>> pending;
     int64_t deficit = 0;
+    /// Whether the DRR cursor's current visit has granted this model its
+    /// quantum yet.
+    bool credited = false;
 
-    bool HasFullBucket() const;
+    /// First bucket holding max_batch_size requests, or -1.
+    int FullBucket() const;
   };
 
-  void Loop();
-  /// Moves every request currently sitting in the admission queues into the
-  /// scheduler's buckets (non-blocking).
-  void Drain();
-  /// One deficit-round-robin round: visits every model once (rotating the
-  /// start), dispatching full buckets while credit lasts. Returns whether
-  /// anything was dispatched. The caller re-drains between rounds, so a
-  /// model whose requests arrived while an earlier flush was blocked on
-  /// pool backpressure joins the very next round instead of waiting out
-  /// another model's backlog.
-  bool DispatchRound();
-  /// Dispatches buckets whose oldest request has exceeded max_wait_micros,
-  /// regardless of remaining credit (the latency bound outranks fairness).
-  /// Returns whether anything was dispatched.
-  bool FlushExpired(Clock::time_point now);
-  /// Unconditionally dispatches everything still pending (shutdown path).
-  void FlushAll();
-  /// Submits up to max_batch_size requests of model `m`'s bucket `b` to the
-  /// pool (blocking on pool backpressure); returns the number dispatched.
-  /// With an executable cache, first tries to carve a full same-length run
-  /// out of the bucket (preferring the oldest request's length) and to
+  /// Moves queued requests into the buckets (non-blocking), each model only
+  /// while its bucketed backlog is below its queue capacity. Returns whether
+  /// a queue was left non-empty by that bound.
+  bool Drain();
+  /// The bucket whose front request is oldest among those whose flush
+  /// deadline is at or before `now`, flushed regardless of credit (the
+  /// latency bound outranks fairness); nullopt when none has expired.
+  std::optional<Batch> PickExpired(Clock::time_point now);
+  /// One full bucket in deficit-round-robin order: the model under the
+  /// cursor gains `weight * max_batch_size` requests of credit per visit
+  /// and keeps the cursor while its credit lasts; a model with nothing
+  /// ready forfeits its credit. nullopt when no bucket is full.
+  std::optional<Batch> PickFull();
+  /// Forms a batch of up to max_batch_size requests from model `m`'s bucket
+  /// `b`. With an executable cache, first tries to carve a full same-length
+  /// run out of the bucket (preferring the oldest request's length) and to
   /// stamp the batch with that length's cached variant; a homogeneous
   /// leftover batch still consults the cache, and everything else ships on
-  /// the generic executable exactly as before.
-  int64_t Flush(PerModel& m, int bucket);
+  /// the generic executable.
+  Batch Flush(PerModel& m, int bucket);
   Clock::time_point NextDeadline() const;
   bool AllQueuesClosed() const;
-  int64_t Quantum(const PerModel& m) const;
 
-  std::vector<PerModel> per_model_;
-  VMPool* pool_;
   ChannelNotifier notifier_;
-  /// Round-robin cursor: index of the model the next DRR round starts at.
+  /// Guards per_model_ and rr_; held only while forming a batch.
+  std::mutex mu_;
+  std::vector<PerModel> per_model_;
+  /// DRR cursor: index of the model whose visit is in progress.
   size_t rr_ = 0;
-  std::thread thread_;
 };
 
 }  // namespace serve

@@ -1,6 +1,5 @@
-// Bounded, closeable MPMC channel — the one synchronization primitive the
-// serving pipeline is built from (RequestQueue admits requests through it;
-// VMPool buffers batches through it).
+// Bounded, closeable MPMC channel behind every RequestQueue — the admission
+// boundary of the serving pipeline.
 //
 // Semantics:
 //  - Push blocks while the channel is full: backpressure propagates into
@@ -22,12 +21,13 @@
 namespace nimble {
 namespace serve {
 
-/// Wake-up fan-in for one consumer multiplexing several channels (the batch
-/// scheduler waits on N per-model request queues through one notifier).
-/// Producers bump a version on every Push/Close; the consumer records the
-/// version it last acted on and sleeps until the version moves — so a
-/// notification arriving between its drain pass and its wait is never lost.
-/// Thread-safe for any number of producers and one or more consumers.
+/// Wake-up fan-in for consumers multiplexing several channels (every pool
+/// worker idle in BatchScheduler::Next waits on the N per-model request
+/// queues through one notifier). Producers bump a version on every
+/// Push/Close; a consumer records the version it last acted on and sleeps
+/// until the version moves — so a notification arriving between its drain
+/// pass and its wait is never lost. Thread-safe for any number of producers
+/// and consumers.
 class ChannelNotifier {
  public:
   uint64_t version() const {
@@ -121,17 +121,6 @@ class Channel {
   std::optional<T> Pop() {
     std::unique_lock<std::mutex> lock(mu_);
     not_empty_.wait(lock, [&] { return !items_.empty() || closed_; });
-    return PopLocked(std::move(lock));
-  }
-
-  /// Like Pop but gives up at `deadline` (returns nullopt on timeout too;
-  /// callers distinguish timeout from end-of-stream via closed()/empty()).
-  std::optional<T> PopUntil(std::chrono::steady_clock::time_point deadline) {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!not_empty_.wait_until(lock, deadline,
-                               [&] { return !items_.empty() || closed_; })) {
-      return std::nullopt;  // timeout
-    }
     return PopLocked(std::move(lock));
   }
 

@@ -31,13 +31,13 @@
 //
 // Ownership & threading: one ExecCache per model, shared by Server
 // instances via shared_ptr (a warmed cache survives server restarts —
-// variants are expensive, the cache is the asset). Lookup is called by the
-// scheduler thread (and tests); the compile thread only touches the map
-// under the same mutex. The compile callback itself runs WITHOUT the lock
-// held — it may take milliseconds — and must be thread-safe against the
-// serving path (core::Compile is: it builds a fresh module and never
-// touches process state). Stats sinks may be null and are recorded outside
-// the lock.
+// variants are expensive, the cache is the asset). Lookup is called by pool
+// workers forming batches in BatchScheduler::Next (and tests); the compile
+// thread only touches the map under the same mutex. The compile callback
+// itself runs WITHOUT the lock held — it may take milliseconds — and must
+// be thread-safe against the serving path (core::Compile is: it builds a
+// fresh module and never touches process state). Stats sinks may be null
+// and are recorded outside the lock.
 #pragma once
 
 #include <condition_variable>

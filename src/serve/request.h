@@ -5,9 +5,10 @@
 // promise fulfilled with the VM's result object (or the exception it threw).
 // Requests are move-only (they own the promise) and flow
 //
-//   client -> RequestQueue -> BatchScheduler -> VMPool worker -> promise
+//   client -> RequestQueue -> BatchScheduler bucket -> VMPool worker
+//          -> promise
 //
-// without copies.
+// without copies (a worker's BatchScheduler::Next does both middle moves).
 //
 // Two completion paths coexist: every request's promise is always
 // fulfilled (the future path), and a request may additionally carry an
@@ -76,16 +77,13 @@ struct Request {
   obs::TraceContext trace;
 };
 
-/// A group of similar-length requests for one model, dispatched to one pool
+/// A group of similar-length requests for one model, formed for one pool
 /// worker. The batch carries everything the worker needs — the executable
 /// to (re)bind its VM to and the per-model stats sink — so the pool itself
 /// holds no model state and one pool can serve any number of models.
 struct Batch {
-  /// Index of the owning model within its server (-1 for standalone
-  /// batches submitted directly to a VMPool).
-  int model = -1;
-  /// Executable the batch runs on. Must not be null when submitted to a
-  /// VMPool; shared (read-only) with every worker serving this model.
+  /// Executable the batch runs on; never null. Shared (read-only) with
+  /// every worker serving this model.
   std::shared_ptr<vm::Executable> exec;
   /// Per-model stats sink; may be null. The worker records the batch's
   /// completions and packing here, and nowhere else.
@@ -95,7 +93,7 @@ struct Batch {
   /// supports it; the worker falls back to the per-request loop otherwise.
   bool tensor_batching = false;
   /// Trace sink completed requests commit their spans to; may be null
-  /// (standalone pool use, tracing disabled).
+  /// (standalone use, tracing disabled).
   obs::Tracer* tracer = nullptr;
   std::vector<Request> requests;
 };

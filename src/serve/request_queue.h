@@ -6,8 +6,10 @@
 // the scheduler, and a model flooding its own queue blocks only its own
 // clients. Producers choose between Push (block until space — the
 // backpressure propagates into the client thread) and TryPush (fail fast so
-// the caller can shed load). Close() drains gracefully. The scheduler
-// multiplexes all queues through one ChannelNotifier.
+// the caller can shed load). Close() drains gracefully. Consumers: the pool
+// workers, each draining every bucketed model's queue inside
+// BatchScheduler::Next and multiplexing them through one ChannelNotifier,
+// or a continuous model's StepRunner thread.
 //
 // All semantics live in the generic Channel (src/serve/channel.h); this is
 // the Request instantiation the pipeline passes around.

@@ -78,8 +78,8 @@ void Server::Start() {
   NIMBLE_CHECK(!models_.empty()) << "Start with no models registered";
   // Continuous models get a dedicated slot-map runner each and never enter
   // the scheduler's model list; everything else shares the scheduler+pool
-  // pipeline as before. Runner VMs are constructed here, on the owning
-  // thread, for the same registry-population reason as the pool's.
+  // pipeline. Runner VMs are constructed here, on the owning thread, for
+  // the same registry-population reason as the pool's.
   std::vector<ModelState*> bucketed;
   bucketed.reserve(models_.size());
   struct WatchEntry {
@@ -106,11 +106,8 @@ void Server::Start() {
     }
   }
   if (!bucketed.empty()) {
-    pool_ = std::make_unique<VMPool>(config_.num_workers,
-                                     config_.max_pending_batches);
-    scheduler_ =
-        std::make_unique<BatchScheduler>(std::move(bucketed), pool_.get());
-    scheduler_->Start();
+    scheduler_ = std::make_unique<BatchScheduler>(std::move(bucketed));
+    pool_ = std::make_unique<VMPool>(config_.num_workers, scheduler_.get());
   }
   for (auto& runner : runners_) runner->Start();
   if (config_.memory.soft_limit_bytes > 0) {
@@ -230,6 +227,30 @@ Request Server::MakeRequest(const ModelState& model,
   return request;
 }
 
+Server::AdmitStatus Server::Admit(ModelState& state, Request& request,
+                                  bool block, size_t* depth) {
+  // Memory pressure sheds before the queue does: admitting more work while
+  // live bytes sit over the soft limit only deepens the overage. The shed
+  // answers queue-full, so the front end's 429 + Retry-After applies as is.
+  if (!block && pressure_ != nullptr && pressure_->should_shed()) {
+    state.stats.RecordRejected();
+    if (depth != nullptr) *depth = state.queue->size();
+    return AdmitStatus::kQueueFull;
+  }
+  auto enqueue_time = request.enqueue_time;
+  bool pushed = block ? state.queue->Push(request)
+                      : state.queue->TryPush(request, depth);
+  if (!pushed) {
+    // A queue closed mid-flight (Drain racing this admission) refuses too,
+    // but that is not a shed.
+    if (state.queue->closed()) return AdmitStatus::kClosed;
+    state.stats.RecordRejected();
+    return AdmitStatus::kQueueFull;
+  }
+  state.stats.RecordEnqueue(enqueue_time);
+  return AdmitStatus::kAccepted;
+}
+
 std::future<runtime::ObjectRef> Server::Submit(
     const std::string& model, std::vector<runtime::ObjectRef> args,
     int64_t length_hint) {
@@ -237,10 +258,9 @@ std::future<runtime::ObjectRef> Server::Submit(
   ModelState& state = Find(model);
   std::future<runtime::ObjectRef> future;
   Request request = MakeRequest(state, std::move(args), length_hint, &future);
-  auto enqueue_time = request.enqueue_time;
-  bool accepted = state.queue->Push(request);
-  NIMBLE_CHECK(accepted) << "Submit on a shut-down server";
-  state.stats.RecordEnqueue(enqueue_time);
+  AdmitStatus status = Admit(state, request, /*block=*/true, nullptr);
+  NIMBLE_CHECK(status == AdmitStatus::kAccepted)
+      << "Submit on a shut-down server";
   return future;
 }
 
@@ -249,21 +269,12 @@ std::optional<std::future<runtime::ObjectRef>> Server::TrySubmit(
     int64_t length_hint) {
   NIMBLE_CHECK(started_.load()) << "TrySubmit before Start";
   ModelState& state = Find(model);
-  // Memory pressure sheds before the queue does: admitting more work while
-  // live bytes sit over the soft limit only deepens the overage.
-  if (pressure_ != nullptr && pressure_->should_shed()) {
-    state.stats.RecordRejected();
-    return std::nullopt;
-  }
   std::future<runtime::ObjectRef> future;
   Request request = MakeRequest(state, std::move(args), length_hint, &future);
-  auto enqueue_time = request.enqueue_time;
-  if (!state.queue->TryPush(request)) {
-    // A closed queue (Drain) refuses too, but that is not a shed.
-    if (!state.queue->closed()) state.stats.RecordRejected();
+  if (Admit(state, request, /*block=*/false, nullptr) !=
+      AdmitStatus::kAccepted) {
     return std::nullopt;
   }
-  state.stats.RecordEnqueue(enqueue_time);
   return future;
 }
 
@@ -283,33 +294,14 @@ Server::AdmitResult Server::TrySubmitCallback(
   }
   ModelState& state = *models_[static_cast<size_t>(it->second)];
   result.queue_capacity = state.queue->capacity();
-  // Memory pressure sheds ahead of the queue check, with the same
-  // queue-full status (the front end's 429 + Retry-After applies as is).
-  if (pressure_ != nullptr && pressure_->should_shed()) {
-    state.stats.RecordRejected();
-    result.status = AdmitStatus::kQueueFull;
-    result.queue_depth = state.queue->size();
-    return result;
-  }
   std::future<runtime::ObjectRef> future;  // discarded: callback path
   Request request = MakeRequest(state, std::move(args), length_hint, &future);
   request.on_complete = std::move(on_complete);
   if (request.trace.enabled && received != Clock::time_point{}) {
     request.trace.admit = received;  // admission span starts at decode
   }
-  auto enqueue_time = request.enqueue_time;
-  if (!state.queue->TryPush(request, &result.queue_depth)) {
-    // A queue closed mid-flight (Drain racing this admission) also lands
-    // here; report it as kClosed so the caller answers 503, not 429.
-    result.status =
-        state.queue->closed() ? AdmitStatus::kClosed : AdmitStatus::kQueueFull;
-    if (result.status == AdmitStatus::kQueueFull) {
-      state.stats.RecordRejected();
-    }
-    return result;
-  }
-  state.stats.RecordEnqueue(enqueue_time);
-  result.status = AdmitStatus::kAccepted;
+  result.status =
+      Admit(state, request, /*block=*/false, &result.queue_depth);
   return result;
 }
 
@@ -405,12 +397,11 @@ void Server::Drain() {
   // idempotency contract the original Shutdown had).
   if (shutdown_.exchange(true)) return;
   if (started_.load()) {
-    // Stop intake on every model; pending requests survive the Close and
-    // the scheduler keeps draining until every queue is closed AND empty,
-    // flushing every pending bucket on its way out. Then the pool runs
-    // every queued batch before its workers exit. Every admitted request's
-    // promise/callback is therefore fulfilled before Join returns —
-    // teardown never drops queued work.
+    // Stop intake on every model; pending requests survive the Close, and
+    // the pool's workers keep pulling batches — every pending bucket,
+    // whatever its size — until the scheduler reports every queue closed
+    // AND empty. Every admitted request's promise/callback is therefore
+    // fulfilled before Join returns — teardown never drops queued work.
     for (auto& model : models_) model->queue->Close();
     // Watchdog first: a runner draining its last rows is making progress,
     // not stalling, and the poll loop must not outlive the runners it reads.
@@ -418,11 +409,7 @@ void Server::Drain() {
     // Step runners exit on their own once their queue is closed+drained and
     // every live slot has retired — same no-dropped-work guarantee.
     for (auto& runner : runners_) runner->Join();
-    if (scheduler_ != nullptr) scheduler_->Join();
-    if (pool_ != nullptr) {
-      pool_->Close();
-      pool_->Join();
-    }
+    if (pool_ != nullptr) pool_->Join();
   }
 }
 

@@ -8,9 +8,11 @@
 //        |
 //   per-model RequestQueue                (bounded; backpressure / load
 //        |                                 shedding per model)
-//   BatchScheduler                        (one thread; length-bucketed
-//        |                                 batching per model, deficit-
-//        |                                 round-robin across models)
+//   BatchScheduler::Next                  (no thread of its own: each idle
+//        |                                 worker forms its next batch at
+//        |                                 pickup — length buckets per
+//        |                                 model, deficit-round-robin
+//        |                                 across models)
 //   VMPool                                (N worker threads, one VM +
 //        |                                 private PoolingAllocator each;
 //        v                                 workers rebind to the batch's
@@ -64,6 +66,8 @@ struct ModelConfig {
   std::string function = "main";
   /// Capacity of this model's admission queue: bounds how many requests are
   /// buffered ahead of the scheduler before Submit blocks / TrySubmit sheds.
+  /// The scheduler's buckets hold at most as many again (see
+  /// BatchScheduler::Drain).
   size_t queue_capacity = 256;
   /// Length-bucketing and flush policy for this model's batches.
   BatchPolicy batch;
@@ -80,10 +84,6 @@ struct ModelConfig {
 
 struct ServeConfig {
   int num_workers = 4;
-  /// Bound on batches buffered inside the pool; 0 = 2x num_workers. Keeps
-  /// backpressure honest: when workers fall behind, the scheduler blocks,
-  /// the per-model queues fill, and admission starts shedding.
-  size_t max_pending_batches = 0;
   /// Request-tracing configuration (src/obs/trace.h). Tracing is on by
   /// default: per-request span stamping is a handful of steady_clock reads,
   /// bounded by the bench_http_loadgen --trace-overhead CI gate at <= 3%
@@ -132,8 +132,9 @@ class Server {
   /// owning thread; names must be unique and `model.exec` non-null.
   void AddModel(const std::string& name, ModelConfig model);
 
-  /// Launches the scheduler and worker pool. Call exactly once, after every
-  /// AddModel. Submissions before Start() fail.
+  /// Builds the scheduler and launches the worker pool (and any continuous
+  /// runners). Call exactly once, after every AddModel. Submissions before
+  /// Start() fail.
   void Start();
 
   /// Submits a request for `model`, blocking while that model's queue is
@@ -193,8 +194,8 @@ class Server {
 
   /// Graceful drain: stops intake on every model (later Submits fail,
   /// TrySubmit* report kClosed), flushes every request already admitted —
-  /// the scheduler dispatches all pending buckets, workers run every queued
-  /// batch — and joins the scheduler and all VMPool workers. Every
+  /// workers keep pulling batches until the scheduler has handed out every
+  /// pending bucket — and joins all VMPool workers. Every
   /// outstanding future/callback is fulfilled before this returns; no
   /// admitted request is ever dropped. Idempotent and terminal: there is no
   /// restart. Stats remain queryable afterwards.
@@ -292,6 +293,13 @@ class Server {
 
  private:
   ModelState& Find(const std::string& model) const;
+  /// The one admission path behind Submit/TrySubmit/TrySubmitCallback: the
+  /// memory-pressure shed (non-blocking callers only), the push (blocking
+  /// when `block`), and the accounting — a rejection for a full queue or a
+  /// shed, none for a closed one, an enqueue on success. `depth` (may be
+  /// null) receives the queue depth observed at the decision.
+  AdmitStatus Admit(ModelState& state, Request& request, bool block,
+                    size_t* depth);
   Request MakeRequest(const ModelState& model,
                       std::vector<runtime::ObjectRef> args,
                       int64_t length_hint,
@@ -305,9 +313,10 @@ class Server {
   std::vector<std::unique_ptr<ModelState>> models_;
   std::map<std::string, int> model_index_;
   /// Null when every registered model is continuous (no scheduler/pool to
-  /// run); Drain() handles either shape.
-  std::unique_ptr<VMPool> pool_;
+  /// run); Drain() handles either shape. The scheduler is declared first so
+  /// it outlives the pool whose workers call it.
   std::unique_ptr<BatchScheduler> scheduler_;
+  std::unique_ptr<VMPool> pool_;
   /// One slot-map runner per continuous model (BatchPolicy::continuous);
   /// such models never appear in the scheduler's model list — their queues
   /// are drained by their runner's thread directly.

@@ -45,11 +45,6 @@ class WorkerAllocatorRegistry {
   std::vector<runtime::PoolingAllocator*> free_;
 };
 
-size_t PendingBatchCap(int num_workers, size_t max_pending_batches) {
-  if (max_pending_batches > 0) return max_pending_batches;
-  return num_workers > 0 ? 2 * static_cast<size_t>(num_workers) : 1;
-}
-
 }  // namespace
 
 runtime::PoolingAllocator* LeaseWorkerAllocator() {
@@ -60,8 +55,9 @@ void ReleaseWorkerAllocator(runtime::PoolingAllocator* allocator) {
   WorkerAllocatorRegistry::Global().Release(allocator);
 }
 
-VMPool::VMPool(int num_workers, size_t max_pending_batches)
-    : batches_(PendingBatchCap(num_workers, max_pending_batches)) {
+VMPool::VMPool(int num_workers, BatchScheduler* scheduler)
+    : scheduler_(scheduler) {
+  NIMBLE_CHECK(scheduler_ != nullptr);
   NIMBLE_CHECK_GE(num_workers, 1);
   // Construct every VM on this thread before any worker starts: the VM
   // constructor populates the kernel/op registries, which become read-only
@@ -82,40 +78,20 @@ VMPool::VMPool(int num_workers, size_t max_pending_batches)
 }
 
 VMPool::~VMPool() {
-  Close();
   Join();
   for (auto& worker : workers_) {
     WorkerAllocatorRegistry::Global().Release(worker->allocator);
   }
 }
 
-void VMPool::Submit(Batch batch) {
-  if (batch.requests.empty()) return;
-  NIMBLE_CHECK(batch.exec != nullptr) << "batch submitted without executable";
-  bool accepted = batches_.Push(batch);
-  NIMBLE_CHECK(accepted) << "VMPool::Submit after Close";
-}
-
-void VMPool::Close() { batches_.Close(); }
-
 void VMPool::Join() {
-  if (joined_) return;
   for (auto& worker : workers_) {
     if (worker->thread.joinable()) worker->thread.join();
   }
-  joined_ = true;
-}
-
-int64_t VMPool::requests_executed() const {
-  int64_t total = 0;
-  for (const auto& worker : workers_) {
-    total += worker->requests_executed.load(std::memory_order_relaxed);
-  }
-  return total;
 }
 
 void VMPool::WorkerLoop(Worker& worker) {
-  while (auto batch = batches_.Pop()) {
+  while (auto batch = scheduler_->Next()) {
     // Switch models when the batch demands it. Rebind is a shared_ptr swap
     // plus a frame-stack reset; the scheduler's length-bucketed batching
     // already gives each worker long same-model runs, so switches are rare
@@ -131,15 +107,14 @@ void VMPool::WorkerLoop(Worker& worker) {
     bool trace_on = batch->tracer != nullptr && batch->tracer->enabled();
     worker.vm->EnableProfiling(trace_on);
     // Pickup timestamp: everything before this instant is queue wait
-    // (admission queue + scheduler bucket + pool batch queue), everything
-    // after is execution — the split ServeStats reports.
+    // (admission queue + scheduler bucket), everything after is execution —
+    // the split ServeStats reports.
     auto dispatch_time = Clock::now();
     for (Request& request : batch->requests) {
       request.dispatch_time = dispatch_time;
       if (request.trace.enabled) request.trace.dispatch = dispatch_time;
     }
     auto on_done = [&](const Request& request, bool ok) {
-      worker.requests_executed.fetch_add(1, std::memory_order_relaxed);
       auto now = Clock::now();
       double latency_us =
           std::chrono::duration<double, std::micro>(now - request.enqueue_time)

@@ -1,17 +1,17 @@
 // Thread pool of VirtualMachine workers, shared by every model of a Server.
 //
-// The pool is model-agnostic: work arrives as Batches (groups of
-// similar-length requests for one model, formed by the BatchScheduler), and
-// each batch carries the std::shared_ptr<vm::Executable> it runs on. A
-// worker rebinds its VM (VirtualMachine::Rebind — a shared_ptr swap plus a
-// frame-stack reset) whenever the batch it pulls belongs to a different
-// model than the previous one, runs the batch — as one packed tensor
-// invocation when the batch requests it and its executable supports it, as
-// a per-request Invoke loop otherwise (src/batch/batch_runner.h) — and
-// fulfills its promises. Executables are immutable (src/vm/executable.h),
-// including their per-executable dispatch tables, so any number of workers
-// may serve any mix of models with no synchronization beyond the batch
-// queue.
+// The pool is model-agnostic: each worker pulls its next Batch (a group of
+// similar-length requests for one model) from BatchScheduler::Next, which
+// forms it at pickup, and each batch carries the
+// std::shared_ptr<vm::Executable> it runs on. A worker rebinds its VM
+// (VirtualMachine::Rebind — a shared_ptr swap plus a frame-stack reset)
+// whenever the batch it pulls belongs to a different model than the
+// previous one, runs the batch — as one packed tensor invocation when the
+// batch requests it and its executable supports it, as a per-request Invoke
+// loop otherwise (src/batch/batch_runner.h) — and fulfills its promises.
+// Executables are immutable (src/vm/executable.h), including their
+// per-executable dispatch tables, so any number of workers may serve any
+// mix of models with no synchronization beyond the scheduler's.
 //
 // Each worker runs its VirtualMachine with a private PoolingAllocator, so
 // the hot allocation path is uncontended and each worker's free lists stay
@@ -27,16 +27,12 @@
 // (cached blocks returned to the OS) and recycled by the next pool.
 #pragma once
 
-#include <atomic>
 #include <memory>
 #include <thread>
 #include <vector>
 
 #include "src/runtime/allocator.h"
-#include "src/serve/channel.h"
-#include "src/serve/request.h"
-#include "src/serve/stats.h"
-#include "src/vm/executable.h"
+#include "src/serve/batch_scheduler.h"
 #include "src/vm/vm.h"
 
 namespace nimble {
@@ -57,36 +53,22 @@ void ReleaseWorkerAllocator(runtime::PoolingAllocator* allocator);
 
 class VMPool {
  public:
-  /// Builds `num_workers` unbound VMs and starts their threads. Each batch
-  /// carries its own stats sink (Batch::stats); the pool keeps none.
-  /// `max_pending_batches` bounds the internal batch queue (default 2x
-  /// workers) so that saturation propagates backpressure upstream — a
-  /// blocked Submit stops the scheduler, the per-model queues fill, and
-  /// admission starts shedding — instead of buffering without limit.
-  explicit VMPool(int num_workers, size_t max_pending_batches = 0);
+  /// Builds `num_workers` unbound VMs and starts their threads; each worker
+  /// loops on `scheduler->Next()` until end of stream. Each batch carries
+  /// its own stats sink (Batch::stats); the pool keeps none. `scheduler`
+  /// must outlive the pool.
+  VMPool(int num_workers, BatchScheduler* scheduler);
 
-  /// Closes and joins. Pending batches are drained first.
+  /// Joins the workers, which exit once the scheduler reaches end of stream
+  /// (every model queue closed and every admitted request run), then
+  /// releases their allocators.
   ~VMPool();
 
-  /// Enqueues a batch for execution, blocking while `max_pending_batches`
-  /// are already queued. `batch.exec` must not be null. Must not be called
-  /// after Close(). Thread-safe (any number of producers).
-  void Submit(Batch batch);
-
-  /// Stops accepting batches; workers finish what is queued and exit.
-  /// Idempotent, thread-safe.
-  void Close();
-
-  /// Waits for all workers to exit (Close() must have been called). Must be
-  /// called from a single owner thread.
+  /// Waits for all workers to exit. Close every model queue first, or this
+  /// blocks. Must be called from a single owner thread; idempotent.
   void Join();
 
   int num_workers() const { return static_cast<int>(workers_.size()); }
-
-  /// Total requests executed across all workers and models (for
-  /// tests/benchmarks). Thread-safe; relaxed counters, so momentarily stale
-  /// under concurrent execution.
-  int64_t requests_executed() const;
 
   /// Each worker's leased allocator, in worker order, for the per-worker
   /// memory scopes (serve::Server::MemoryScopes / GET /debug/memory). The
@@ -107,14 +89,12 @@ class VMPool {
     runtime::PoolingAllocator* allocator = nullptr;  // leased, never null
     std::unique_ptr<vm::VirtualMachine> vm;
     std::thread thread;
-    std::atomic<int64_t> requests_executed{0};
   };
 
   void WorkerLoop(Worker& worker);
 
-  Channel<Batch> batches_;
+  BatchScheduler* scheduler_;
   std::vector<std::unique_ptr<Worker>> workers_;
-  bool joined_ = false;
 };
 
 }  // namespace serve

@@ -617,9 +617,10 @@ TEST(HttpServe, ErrorStatusCodes) {
 }
 
 TEST(HttpServe, OverloadShedsWith429NeverHangsNever5xx) {
-  // Deliberately tiny pipeline: 1 worker, 1 pending batch, queue of 2,
-  // batch size 1. A burst from 6 threads must split into 200s and 429s —
-  // no 5xx, no hangs, and every 200 still bit-identical.
+  // Deliberately tiny pipeline: 1 worker, queue of 2 (the scheduler's
+  // buckets hold at most 2 more), batch size 1. A burst from 6 threads must
+  // split into 200s and 429s — no 5xx, no hangs, and every 200 still
+  // bit-identical.
   std::vector<int64_t> lengths;
   for (int i = 0; i < 36; ++i) lengths.push_back(16);
   HttpFixture fixture(lengths);
@@ -629,7 +630,6 @@ TEST(HttpServe, OverloadShedsWith429NeverHangsNever5xx) {
   model.batch.max_wait_micros = 0;
   serve::ServeConfig serve_config;
   serve_config.num_workers = 1;
-  serve_config.max_pending_batches = 1;
   RunningServer rig(fixture, std::move(model), serve_config);
 
   const int kThreads = 6;

@@ -276,7 +276,6 @@ obs::TraceContext MakeTrace(int64_t id) {
   auto t = obs::SteadyClock::now();
   ctx.admit = t;
   ctx.enqueue = t + std::chrono::microseconds(10);
-  ctx.sched = t + std::chrono::microseconds(20);
   ctx.dispatch = t + std::chrono::microseconds(30);
   ctx.pack_start = t + std::chrono::microseconds(30);
   ctx.pack_end = t + std::chrono::microseconds(40);

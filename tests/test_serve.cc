@@ -111,14 +111,6 @@ TEST(RequestQueue, CloseDrainsThenEndsStream) {
   EXPECT_FALSE(queue.Pop().has_value()) << "closed + drained = end of stream";
 }
 
-TEST(RequestQueue, PopUntilTimesOut) {
-  serve::RequestQueue queue(1);
-  auto popped = queue.PopUntil(serve::Clock::now() +
-                               std::chrono::milliseconds(10));
-  EXPECT_FALSE(popped.has_value());
-  EXPECT_FALSE(queue.closed());
-}
-
 // ---- end-to-end serving -------------------------------------------------------
 
 struct LSTMFixture {
@@ -372,30 +364,70 @@ TEST(Serve, TrySubmitShedsLoadAndCountsRejections) {
   EXPECT_EQ(snap.rejected, rejected);
 }
 
-TEST(Serve, VMPoolRunsBatchesDirectly) {
-  // Pool-level check without scheduler/queue: a directly submitted batch
-  // (carrying its own executable) executes every request and fulfills its
-  // promises.
-  LSTMFixture fixture(6);
-  serve::VMPool pool(3);
-  std::vector<std::future<runtime::ObjectRef>> futures;
-  serve::Batch batch;
-  batch.exec = fixture.exec;
-  for (size_t i = 0; i < 6; ++i) {
-    serve::Request request;
-    request.id = static_cast<int64_t>(i);
-    request.args = fixture.ArgsFor(i);
-    request.enqueue_time = serve::Clock::now();
-    futures.push_back(request.promise.get_future());
-    batch.requests.push_back(std::move(request));
+TEST(Serve, StalledWorkerBoundsBufferingAndShedsAdmission) {
+  // Bounded buffering: with the only worker held inside the first request's
+  // completion callback, admission must shed within the bound ARCHITECTURE
+  // invariant 1 states — queue_capacity requests queued, at most
+  // queue_capacity more in the scheduler's buckets, and at most
+  // num_workers x max_batch_size running. Submissions are paced past
+  // max_wait_micros, so nothing that could drain in the background is
+  // raced out of the count.
+  const int kOffered = 24;
+  const size_t kQueueCapacity = 4;
+  const int kMaxBatch = 2;
+  const int kWorkers = 1;
+  LSTMFixture fixture(kOffered);
+  serve::ServeConfig config;
+  config.num_workers = kWorkers;
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.queue_capacity = kQueueCapacity;
+  model.batch.max_batch_size = kMaxBatch;
+  model.batch.max_wait_micros = 1000;
+  serve::Server server(std::move(model), config);
+
+  std::promise<void> entered;
+  std::promise<void> release;
+  std::shared_future<void> released = release.get_future().share();
+  runtime::ObjectRef first_result;
+  auto admit = server.TrySubmitCallback(
+      "default", fixture.ArgsFor(0), fixture.lengths[0],
+      [&](runtime::ObjectRef result, std::exception_ptr,
+          const obs::TraceContext&) {
+        first_result = std::move(result);
+        entered.set_value();
+        released.wait();
+      });
+  ASSERT_TRUE(admit.accepted());
+  entered.get_future().wait();
+
+  int accepted = 1;
+  int rejected = 0;
+  int accepted_before_first_rejection = -1;
+  std::vector<std::pair<size_t, std::future<runtime::ObjectRef>>> futures;
+  for (size_t i = 1; i < static_cast<size_t>(kOffered); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    auto future = server.TrySubmit(fixture.ArgsFor(i), fixture.lengths[i]);
+    if (future.has_value()) {
+      accepted++;
+      futures.emplace_back(i, std::move(*future));
+    } else if (rejected++ == 0) {
+      accepted_before_first_rejection = accepted;
+    }
   }
-  pool.Submit(std::move(batch));
-  for (size_t i = 0; i < futures.size(); ++i) {
-    ExpectBitIdentical(AsTensor(futures[i].get()), fixture.expected[i], i);
+  release.set_value();
+
+  const int bound = 2 * static_cast<int>(kQueueCapacity) + kWorkers * kMaxBatch;
+  EXPECT_GT(rejected, 0) << "a stalled worker must make admission shed";
+  EXPECT_LE(accepted_before_first_rejection, bound);
+  for (auto& [i, future] : futures) {
+    ExpectBitIdentical(AsTensor(future.get()), fixture.expected[i], i);
   }
-  pool.Close();
-  pool.Join();
-  EXPECT_EQ(pool.requests_executed(), 6);
+  server.Shutdown();
+  ExpectBitIdentical(AsTensor(first_result), fixture.expected[0], 0);
+  auto snap = server.stats();
+  EXPECT_EQ(snap.completed, accepted);
+  EXPECT_EQ(snap.completed + snap.rejected, kOffered);
 }
 
 TEST(Serve, ResultsOutliveServerAndPool) {
@@ -641,12 +673,12 @@ TEST(Serve, SkewedArrivalsDontStarveTheLightModel) {
     model->policy.max_wait_micros = 200000;  // full buckets only: pure DRR
     model->queue = std::make_unique<serve::RequestQueue>(256);
   }
-  serve::VMPool pool(1);  // a single worker makes dispatch order observable
-  serve::BatchScheduler scheduler({&flood, &trickle}, &pool);
+  serve::BatchScheduler scheduler({&flood, &trickle});
 
   // The flood is fully enqueued before the trickle arrives — the worst case
   // for the light model under FIFO scheduling. Both queues are filled before
-  // the scheduler starts, so nothing is dispatched while they fill.
+  // the pool's worker starts pulling from the scheduler, so nothing is
+  // dispatched while they fill.
   auto enqueue = [](serve::ModelState& model,
                     std::vector<runtime::ObjectRef> args, int64_t length_hint) {
     serve::Request request;
@@ -669,15 +701,15 @@ TEST(Serve, SkewedArrivalsDontStarveTheLightModel) {
     trickle_futures.push_back(
         enqueue(trickle, light.ArgsFor(i), /*length_hint=*/10));
   }
-  scheduler.Start();
+  serve::VMPool pool(1, &scheduler);  // one worker: dispatch order observable
   for (int i = 0; i < kTrickle; ++i) {
     ExpectBitIdentical(AsTensor(trickle_futures[i].get()), light.expected[i],
                        i);
   }
   // The moment the trickle finished, most of the flood must still be
   // outstanding: under starvation-free DRR the trickle's 2 batches ride
-  // alongside ~2 flood batches per round (+ the pool's small buffer), while
-  // FIFO would have completed all 96 flood requests first.
+  // alongside ~2 flood batches, while FIFO would have completed all 96
+  // flood requests first.
   auto flood_mid = flood.stats.Snapshot();
   EXPECT_LT(flood_mid.completed, kFlood / 2)
       << "light model waited out the flood: no fairness";
@@ -687,8 +719,6 @@ TEST(Serve, SkewedArrivalsDontStarveTheLightModel) {
   }
   flood.queue->Close();
   trickle.queue->Close();
-  scheduler.Join();
-  pool.Close();
   pool.Join();
   EXPECT_EQ(flood.stats.Snapshot().completed, kFlood);
   EXPECT_EQ(trickle.stats.Snapshot().completed, kTrickle);
