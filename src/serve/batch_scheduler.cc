@@ -42,6 +42,12 @@ BatchScheduler::BatchScheduler(std::vector<ModelState*> models) {
     per_model_.push_back(std::move(pm));
     state->queue->set_notifier(&notifier_);
   }
+  // The DRR cursor starts its first visit on model 0.
+  per_model_[0].deficit = Quantum(per_model_[0]);
+}
+
+int64_t BatchScheduler::Quantum(const PerModel& m) {
+  return static_cast<int64_t>(m.state->weight) * m.state->policy.max_batch_size;
 }
 
 Clock::time_point BatchScheduler::NextDeadline() const {
@@ -59,6 +65,19 @@ Clock::time_point BatchScheduler::NextDeadline() const {
     deadline = Clock::now() + std::chrono::hours(1);
   }
   return deadline;
+}
+
+bool BatchScheduler::AnyPending() const {
+  for (const PerModel& m : per_model_) {
+    for (const auto& bucket : m.pending) {
+      if (!bucket.empty()) return true;
+    }
+  }
+  return false;
+}
+
+void BatchScheduler::Close() {
+  for (PerModel& m : per_model_) m.state->queue->Close();
 }
 
 bool BatchScheduler::AllQueuesClosed() const {
@@ -85,7 +104,7 @@ bool BatchScheduler::Drain() {
   return capped;
 }
 
-Batch BatchScheduler::Flush(PerModel& m, int bucket) {
+Batch BatchScheduler::Flush(PerModel& m, int bucket, bool expired) {
   auto& pending = m.pending[static_cast<size_t>(bucket)];
   Batch batch;
   batch.exec = m.state->exec;
@@ -100,15 +119,18 @@ Batch BatchScheduler::Flush(PerModel& m, int bucket) {
   // over a mixed front slice. The oldest request's length wins ties (its
   // expiry deadline governs this bucket), relative order within the carved
   // length is preserved, and a bucket with no full same-length run
-  // dispatches mixed exactly as before — on a diffuse workload this path
-  // degenerates to PR 3 behavior.
+  // dispatches mixed — on a diffuse workload this path degenerates to plain
+  // bucketed batching. An expired bucket carves only the oldest request's
+  // length, so its batch always takes the expired front request: carving
+  // another length would leave the front waiting for as long as that
+  // length keeps refilling.
   if (cache != nullptr && batch.tensor_batching && pending.size() >= 2) {
     std::map<int64_t, size_t> counts;
     for (const Request& request : pending) counts[request.length_hint]++;
     int64_t carve = -1;
     if (counts[pending.front().length_hint] >= cap) {
       carve = pending.front().length_hint;
-    } else {
+    } else if (!expired) {
       for (const auto& [length, count] : counts) {
         if (count >= cap) {
           carve = length;
@@ -180,7 +202,7 @@ std::optional<Batch> BatchScheduler::PickExpired(Clock::time_point now) {
     }
   }
   if (pick == nullptr) return std::nullopt;
-  return Flush(*pick, pick_bucket);
+  return Flush(*pick, pick_bucket, /*expired=*/true);
 }
 
 std::optional<Batch> BatchScheduler::PickFull() {
@@ -193,20 +215,13 @@ std::optional<Batch> BatchScheduler::PickFull() {
     int full = m.FullBucket();
     if (full < 0) {
       m.deficit = 0;  // classic DRR: nothing ready forfeits the credit
-    } else {
-      if (!m.credited) {
-        m.deficit += static_cast<int64_t>(m.state->weight) *
-                     m.state->policy.max_batch_size;
-        m.credited = true;
-      }
-      if (m.deficit > 0) {
-        Batch batch = Flush(m, full);
-        m.deficit -= static_cast<int64_t>(batch.requests.size());
-        return batch;
-      }
+    } else if (m.deficit > 0) {
+      Batch batch = Flush(m, full, /*expired=*/false);
+      m.deficit -= static_cast<int64_t>(batch.requests.size());
+      return batch;
     }
-    m.credited = false;
     rr_ = (rr_ + 1) % n;
+    per_model_[rr_].deficit += Quantum(per_model_[rr_]);
   }
   return std::nullopt;
 }
@@ -227,10 +242,11 @@ std::optional<Batch> BatchScheduler::Next() {
     std::optional<Batch> batch = PickExpired(now);
     if (!batch) batch = PickFull();
     if (batch) {
+      bool left = capped || AnyPending();
       lock.unlock();
-      // Taking a batch lowered the backlog; let an idle worker drain what
-      // the capacity bound left queued instead of sleeping to a deadline.
-      if (capped) notifier_.Notify();
+      // A push wakes one sleeper, so pass the wake-up on when work is left:
+      // the next worker takes it or sleeps until its deadline.
+      if (left) notifier_.Notify();
       return batch;
     }
     // Closed and nothing picked means nothing is pending, so the drain

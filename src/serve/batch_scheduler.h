@@ -30,8 +30,10 @@
 // worker calls Next() when it is ready for work, and Next() forms that
 // batch at pickup, under one scheduler mutex held only while forming it
 // (never while a batch runs). A worker with nothing to take sleeps on a
-// ChannelNotifier shared by every model's RequestQueue, so a push to any
-// queue (or any Close) wakes it, as does the next bucket deadline.
+// ChannelNotifier shared by every model's RequestQueue until the next bucket
+// deadline: a push to any queue wakes one sleeping worker, a worker that
+// takes a batch and leaves work pending wakes one more, and a Close wakes
+// them all.
 // Buffering stays bounded: a model's queue is drained into its buckets only
 // while its bucketed backlog is below its queue capacity, so a stalled pool
 // leaves the admission queue full and admission sheds.
@@ -153,6 +155,10 @@ class BatchScheduler {
   /// nullopt (end of stream). Thread-safe: every pool worker calls it.
   std::optional<Batch> Next();
 
+  /// Closes every model's queue: Next() hands out what is pending, then
+  /// reports end of stream. Idempotent.
+  void Close();
+
  private:
   /// Scheduler-private view of one model: its pending buckets (FIFO per
   /// bucket — front() is the oldest, so each bucket's flush deadline is
@@ -160,10 +166,8 @@ class BatchScheduler {
   struct PerModel {
     ModelState* state = nullptr;
     std::vector<std::deque<Request>> pending;
+    /// DRR credit, granted when the cursor moves onto this model.
     int64_t deficit = 0;
-    /// Whether the DRR cursor's current visit has granted this model its
-    /// quantum yet.
-    bool credited = false;
 
     /// First bucket holding max_batch_size requests, or -1.
     int FullBucket() const;
@@ -177,19 +181,23 @@ class BatchScheduler {
   /// deadline is at or before `now`, flushed regardless of credit (the
   /// latency bound outranks fairness); nullopt when none has expired.
   std::optional<Batch> PickExpired(Clock::time_point now);
-  /// One full bucket in deficit-round-robin order: the model under the
-  /// cursor gains `weight * max_batch_size` requests of credit per visit
-  /// and keeps the cursor while its credit lasts; a model with nothing
-  /// ready forfeits its credit. nullopt when no bucket is full.
+  /// One full bucket in deficit-round-robin order: the cursor grants a
+  /// model Quantum() requests of credit as it moves onto it, and the model
+  /// keeps the cursor while its credit lasts; a model with nothing ready
+  /// forfeits its credit. nullopt when no bucket is full.
   std::optional<Batch> PickFull();
+  /// `weight * max_batch_size`: the credit one DRR visit grants.
+  static int64_t Quantum(const PerModel& m);
   /// Forms a batch of up to max_batch_size requests from model `m`'s bucket
   /// `b`. With an executable cache, first tries to carve a full same-length
-  /// run out of the bucket (preferring the oldest request's length) and to
-  /// stamp the batch with that length's cached variant; a homogeneous
-  /// leftover batch still consults the cache, and everything else ships on
-  /// the generic executable.
-  Batch Flush(PerModel& m, int bucket);
+  /// run out of the bucket (preferring the oldest request's length; an
+  /// `expired` bucket carves only that length, so the batch always takes
+  /// its front request) and to stamp the batch with that length's cached
+  /// variant; a homogeneous leftover batch still consults the cache, and
+  /// everything else ships on the generic executable.
+  Batch Flush(PerModel& m, int bucket, bool expired);
   Clock::time_point NextDeadline() const;
+  bool AnyPending() const;
   bool AllQueuesClosed() const;
 
   ChannelNotifier notifier_;

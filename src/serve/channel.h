@@ -26,8 +26,10 @@ namespace serve {
 /// queues through one notifier). Producers bump a version on every
 /// Push/Close; a consumer records the version it last acted on and sleeps
 /// until the version moves — so a notification arriving between its drain
-/// pass and its wait is never lost. Thread-safe for any number of producers
-/// and consumers.
+/// pass and its wait is never lost. A push wakes one sleeper (one item is
+/// work for one consumer; a consumer that leaves work behind passes the
+/// wake-up on), a close wakes them all. Thread-safe for any number of
+/// producers and consumers.
 class ChannelNotifier {
  public:
   uint64_t version() const {
@@ -35,11 +37,15 @@ class ChannelNotifier {
     return version_;
   }
 
+  /// Bumps the version and wakes one sleeper.
   void Notify() {
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      ++version_;
-    }
+    Bump();
+    cv_.notify_one();
+  }
+
+  /// Bumps the version and wakes every sleeper.
+  void NotifyAll() {
+    Bump();
     cv_.notify_all();
   }
 
@@ -53,6 +59,11 @@ class ChannelNotifier {
   }
 
  private:
+  void Bump() {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++version_;
+  }
+
   mutable std::mutex mu_;
   std::condition_variable cv_;
   uint64_t version_ = 0;
@@ -132,7 +143,7 @@ class Channel {
     }
     not_empty_.notify_all();
     not_full_.notify_all();
-    if (notifier_ != nullptr) notifier_->Notify();
+    if (notifier_ != nullptr) notifier_->NotifyAll();
   }
 
   bool closed() const {

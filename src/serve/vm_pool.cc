@@ -78,6 +78,7 @@ VMPool::VMPool(int num_workers, BatchScheduler* scheduler)
 }
 
 VMPool::~VMPool() {
+  scheduler_->Close();
   Join();
   for (auto& worker : workers_) {
     WorkerAllocatorRegistry::Global().Release(worker->allocator);

@@ -59,9 +59,9 @@ class VMPool {
   /// must outlive the pool.
   VMPool(int num_workers, BatchScheduler* scheduler);
 
-  /// Joins the workers, which exit once the scheduler reaches end of stream
-  /// (every model queue closed and every admitted request run), then
-  /// releases their allocators.
+  /// Closes the scheduler's queues (so teardown cannot hang on a queue left
+  /// open) and joins the workers, which exit once every admitted request
+  /// has run; then releases their allocators.
   ~VMPool();
 
   /// Waits for all workers to exit. Close every model queue first, or this

@@ -4,11 +4,13 @@
 // VirtualMachine::Invoke.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstring>
 #include <future>
 #include <memory>
+#include <optional>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -430,6 +432,54 @@ TEST(Serve, StalledWorkerBoundsBufferingAndShedsAdmission) {
   EXPECT_EQ(snap.completed + snap.rejected, kOffered);
 }
 
+TEST(Serve, SlowWorkerBacklogStaysBounded) {
+  // Bounded buffering with a live worker slower than arrivals: each Next()
+  // may drain up to a full admission queue but takes one batch, so without
+  // the per-model backlog bound the scheduler's buckets would grow without
+  // limit. At every submission, admitted-but-unfinished requests must stay
+  // within the bound ARCHITECTURE invariant 1 states.
+  const int kOffered = 200;
+  const size_t kQueueCapacity = 4;
+  const int kMaxBatch = 2;
+  const int kWorkers = 1;
+  LSTMFixture fixture(kOffered);
+  serve::ServeConfig config;
+  config.num_workers = kWorkers;
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.queue_capacity = kQueueCapacity;
+  model.batch.max_batch_size = kMaxBatch;
+  serve::Server server(std::move(model), config);
+
+  std::vector<runtime::ObjectRef> results(kOffered);
+  std::atomic<int> completed{0};
+  const int bound = 2 * static_cast<int>(kQueueCapacity) + kWorkers * kMaxBatch;
+  int accepted = 0;
+  int worst = 0;
+  std::vector<size_t> admitted;
+  for (size_t i = 0; i < static_cast<size_t>(kOffered); ++i) {
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+    auto admit = server.TrySubmitCallback(
+        "default", fixture.ArgsFor(i), fixture.lengths[i],
+        [&, i](runtime::ObjectRef result, std::exception_ptr,
+               const obs::TraceContext&) {
+          results[i] = std::move(result);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+          completed.fetch_add(1);
+        });
+    if (!admit.accepted()) continue;
+    accepted++;
+    admitted.push_back(i);
+    worst = std::max(worst, accepted - completed.load());
+  }
+  EXPECT_LE(worst, bound) << "scheduler buffering outgrew the backlog bound";
+  server.Shutdown();
+  EXPECT_EQ(completed.load(), accepted);
+  for (size_t i : admitted) {
+    ExpectBitIdentical(AsTensor(results[i]), fixture.expected[i], i);
+  }
+}
+
 TEST(Serve, ResultsOutliveServerAndPool) {
   // Result buffers come from per-worker allocators; they must stay valid —
   // and safely freeable — after the server and its pool are destroyed.
@@ -717,8 +767,7 @@ TEST(Serve, SkewedArrivalsDontStarveTheLightModel) {
   for (int i = 0; i < kFlood; ++i) {
     ExpectBitIdentical(AsTensor(flood_futures[i].get()), heavy.expected[i], i);
   }
-  flood.queue->Close();
-  trickle.queue->Close();
+  scheduler.Close();
   pool.Join();
   EXPECT_EQ(flood.stats.Snapshot().completed, kFlood);
   EXPECT_EQ(trickle.stats.Snapshot().completed, kTrickle);
@@ -1319,6 +1368,56 @@ TEST(ExecCache, ServerCarvesSameLengthBatchesOntoVariants) {
       << "cached batches are exact-length: zero padding by construction";
   auto cache_snap = cache->snapshot();
   EXPECT_EQ(cache_snap.compiles, 1) << "one hot length, one variant";
+}
+
+TEST(ExecCache, ExpiredFrontLeavesDespiteHotLengthInItsBucket) {
+  // A lone expired request must leave with the next batch even when a hot
+  // length sharing its bucket refills a full same-length run before every
+  // pickup: carving that run instead would pass the expired front over for
+  // as long as the stream lasts. Driven through Next() directly, so every
+  // pickup is observable.
+  const int kMaxBatch = 4;
+  LSTMFixture fixture(1);
+  obs::MetricRegistry registry;
+  serve::ModelState state(registry, "lstm");
+  state.index = 0;
+  state.exec = fixture.exec;
+  state.policy.max_batch_size = kMaxBatch;
+  state.policy.max_wait_micros = 1000;
+  state.policy.bucket_edges = {8, 16, 32};
+  state.policy.tensor_batching = true;
+  serve::ExecCacheConfig cache_config;
+  cache_config.min_observations = 1 << 20;  // observe only, never compile
+  state.cache = std::make_shared<serve::ExecCache>(
+      LSTMVariantCompiler(fixture.model.config), cache_config);
+  state.queue = std::make_unique<serve::RequestQueue>(64);
+  serve::BatchScheduler scheduler({&state});
+
+  int64_t next_id = 0;
+  auto enqueue = [&](int64_t length) {
+    serve::Request request;
+    request.id = next_id++;
+    request.length_hint = length;
+    request.enqueue_time = serve::Clock::now();
+    EXPECT_TRUE(state.queue->Push(request));
+  };
+  enqueue(10);  // the lone request, id 0
+  std::this_thread::sleep_for(std::chrono::milliseconds(5));  // expire it
+  bool lone_left = false;
+  int pickups = 0;
+  for (; pickups < 4 && !lone_left; ++pickups) {
+    for (int i = 0; i < kMaxBatch; ++i) enqueue(12);  // hot length, same bucket
+    std::optional<serve::Batch> batch = scheduler.Next();
+    ASSERT_TRUE(batch.has_value());
+    for (const serve::Request& request : batch->requests) {
+      if (request.id == 0) lone_left = true;
+    }
+  }
+  EXPECT_TRUE(lone_left) << "the expired front was passed over";
+  EXPECT_EQ(pickups, 1) << "expired buckets must flush their front first";
+  scheduler.Close();
+  while (scheduler.Next().has_value()) {
+  }
 }
 
 TEST(ExecCache, GenericServesWhileVariantCompiles) {
