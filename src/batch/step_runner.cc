@@ -53,6 +53,17 @@ ContinuousCheck AnalyzeContinuous(const vm::Executable& exec,
                    "not a length-specialized variant";
     return check;
   }
+  std::vector<runtime::ShapeVec> shapes = {{num_slots, spec->feature_width},
+                                            {num_slots, 1}};
+  shapes.resize(2 + static_cast<size_t>(spec->num_state_args),
+                {num_slots, spec->state_width});
+  std::string why;
+  check.step = vm::SpecializeShapes(exec, spec->step_function, shapes, &why);
+  if (!check.step) {
+    check.reason = "step twin does not shape-specialize for " +
+                   std::to_string(num_slots) + " slots: " + why;
+    return check;
+  }
   check.spec = spec;
   return check;
 }
@@ -76,6 +87,7 @@ StepRunner::StepRunner(std::shared_ptr<vm::Executable> exec,
   NIMBLE_CHECK(check.ok()) << "StepRunner on an ineligible executable: "
                            << check.reason;
   spec_ = check.spec;
+  step_ = std::move(*check.step);
   allocator_ = serve::LeaseWorkerAllocator();
   vm_ = std::make_unique<vm::VirtualMachine>(exec_, allocator_);
   // Per-category VM timing feeds both the per-request exec-span fold and
@@ -293,7 +305,7 @@ void StepRunner::RunStep(SlotMap& slots) {
 
   ObjectRef result;
   try {
-    result = vm_->Invoke(spec_->step_function, std::move(args));
+    result = vm_->Invoke(step_, std::move(args));
   } catch (...) {
     // The step poisoned every in-flight row's state at once; fail them all
     // and keep serving — the next splice zeroes its rows regardless. A

@@ -12,8 +12,8 @@
 //              boundary only; the slot's state rows are zeroed — a spliced
 //              row starts from exactly the solo initial state)
 //     step     gather each live slot's next input row into x_t, invoke
-//              step_function once over all B rows, adopt the returned
-//              states as next step's inputs
+//              the shape-specialized step_function once over all B rows,
+//              adopt the returned states as next step's inputs
 //     retire   every slot whose row just reached its own length: slice its
 //              result row out of the result state, fulfil the promise,
 //              run the completion hook, commit the trace — immediately,
@@ -34,6 +34,13 @@
 // honestly as its own metric (ServeStats::RecordStep ->
 // continuous_idle_row_steps), never folded into the padding counters.
 //
+// Shapes: every step invocation sees the same argument shapes for the
+// runner's whole life, so the runner never runs the step twin as compiled.
+// AnalyzeContinuous specializes it once for num_slots (src/vm/
+// specialize.h: ShapeOf, shape functions and dynamic storage sizes folded
+// away, 69 -> 29 instructions for a 1-layer LSTM) and rejects a model whose
+// step twin will not specialize; RunStep always invokes that body.
+//
 // Threading: one runner owns one thread, one VM, one SlotMap. It pops its
 // model's RequestQueue directly (the queue stays the admission/backpressure
 // boundary: TrySubmit still sheds with 429 upstream); a Server with
@@ -42,6 +49,7 @@
 
 #include <atomic>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -55,24 +63,29 @@
 #include "src/serve/request.h"
 #include "src/serve/stats.h"
 #include "src/vm/executable.h"
+#include "src/vm/specialize.h"
 #include "src/vm/vm.h"
 
 namespace nimble {
 namespace batch {
 
 /// Outcome of AnalyzeContinuous: `spec != nullptr` means the executable can
-/// serve `function` continuously; otherwise `reason` names the first
+/// serve `function` continuously, and `step` holds the step twin
+/// specialized for the slot count; otherwise `reason` names the first
 /// registration rule that fired.
 struct ContinuousCheck {
   const vm::BatchedEntrySpec* spec = nullptr;
+  std::optional<vm::SpecializedFunction> step;
   std::string reason;
   bool ok() const { return spec != nullptr; }
 };
 
 /// Decides whether `exec` can serve entry `function` with a persistent
 /// batch of `num_slots` rows. Requires a time-major batched spec carrying a
-/// step twin, a generic (non-variant) executable, and recurrent state to
-/// carry (num_state_args >= 1, result_state in range).
+/// step twin, a generic (non-variant) executable, recurrent state to carry
+/// (num_state_args >= 1, result_state in range), and a step twin that
+/// shape-specializes (vm::SpecializeShapes) for x_t [num_slots, D], active
+/// [num_slots, 1] and states [num_slots, W].
 ContinuousCheck AnalyzeContinuous(const vm::Executable& exec,
                                   const std::string& function,
                                   int64_t num_slots);
@@ -158,6 +171,8 @@ class StepRunner {
 
   std::shared_ptr<vm::Executable> exec_;
   const vm::BatchedEntrySpec* spec_;  // points into *exec_
+  /// The step twin specialized for num_slots_ (built against *exec_).
+  vm::SpecializedFunction step_;
   std::string function_;
   int64_t num_slots_;
   serve::Channel<serve::Request>* queue_;

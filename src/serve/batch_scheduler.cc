@@ -23,6 +23,12 @@ int BatchScheduler::PerModel::FullBucket() const {
   return -1;
 }
 
+size_t BatchScheduler::PerModel::Backlog() const {
+  size_t backlog = 0;
+  for (const auto& bucket : pending) backlog += bucket.size();
+  return backlog;
+}
+
 BatchScheduler::BatchScheduler(std::vector<ModelState*> models) {
   NIMBLE_CHECK(!models.empty()) << "scheduler needs at least one model";
   per_model_.reserve(models.size());
@@ -90,8 +96,7 @@ bool BatchScheduler::AllQueuesClosed() const {
 bool BatchScheduler::Drain() {
   bool capped = false;
   for (PerModel& m : per_model_) {
-    size_t backlog = 0;
-    for (const auto& bucket : m.pending) backlog += bucket.size();
+    size_t backlog = m.Backlog();
     size_t cap = m.state->queue->capacity();
     for (; backlog < cap; ++backlog) {
       auto request = m.state->queue->TryPop();
@@ -185,16 +190,16 @@ Batch BatchScheduler::Flush(PerModel& m, int bucket, bool expired) {
   return batch;
 }
 
-std::optional<Batch> BatchScheduler::PickExpired(Clock::time_point now) {
+template <typename Eligible>
+std::optional<Batch> BatchScheduler::FlushOldest(Eligible eligible) {
   PerModel* pick = nullptr;
   int pick_bucket = -1;
   auto oldest = Clock::time_point::max();
   for (PerModel& m : per_model_) {
-    auto max_wait = std::chrono::microseconds(m.state->policy.max_wait_micros);
     for (size_t b = 0; b < m.pending.size(); ++b) {
       if (m.pending[b].empty()) continue;
       Clock::time_point front = m.pending[b].front().enqueue_time;
-      if (front + max_wait <= now && front < oldest) {
+      if (front < oldest && eligible(m, front)) {
         oldest = front;
         pick = &m;
         pick_bucket = static_cast<int>(b);
@@ -203,6 +208,19 @@ std::optional<Batch> BatchScheduler::PickExpired(Clock::time_point now) {
   }
   if (pick == nullptr) return std::nullopt;
   return Flush(*pick, pick_bucket, /*expired=*/true);
+}
+
+std::optional<Batch> BatchScheduler::PickExpired(Clock::time_point now) {
+  return FlushOldest([now](const PerModel& m, Clock::time_point front) {
+    return front + std::chrono::microseconds(m.state->policy.max_wait_micros) <=
+           now;
+  });
+}
+
+std::optional<Batch> BatchScheduler::PickCapped() {
+  return FlushOldest([](const PerModel& m, Clock::time_point) {
+    return m.Backlog() >= m.state->queue->capacity();
+  });
 }
 
 std::optional<Batch> BatchScheduler::PickFull() {
@@ -241,6 +259,7 @@ std::optional<Batch> BatchScheduler::Next() {
     auto now = closed ? Clock::time_point::max() : Clock::now();
     std::optional<Batch> batch = PickExpired(now);
     if (!batch) batch = PickFull();
+    if (!batch) batch = PickCapped();
     if (batch) {
       bool left = capped || AnyPending();
       lock.unlock();

@@ -36,7 +36,10 @@
 // them all.
 // Buffering stays bounded: a model's queue is drained into its buckets only
 // while its bucketed backlog is below its queue capacity, so a stalled pool
-// leaves the admission queue full and admission sheds.
+// leaves the admission queue full and admission sheds. A model whose backlog
+// sits at that bound hands out its oldest bucket as soon as nothing expired
+// or full is ready: with a queue smaller than max_batch_size no bucket could
+// ever fill, and every batch would wait out max_wait_micros.
 #pragma once
 
 #include <cstdint>
@@ -149,8 +152,9 @@ class BatchScheduler {
 
   /// Blocks until a batch is ready and returns it: drains the admission
   /// queues into the buckets, then picks expired buckets first (oldest
-  /// front request first, regardless of credit) and full buckets in DRR
-  /// order after that. Once every queue is closed, leftover partial buckets
+  /// front request first, regardless of credit), full buckets in DRR
+  /// order after that, and last the oldest bucket of a model whose backlog
+  /// sits at its bound. Once every queue is closed, leftover partial buckets
   /// are handed out whatever their size; when nothing is left, returns
   /// nullopt (end of stream). Thread-safe: every pool worker calls it.
   std::optional<Batch> Next();
@@ -171,12 +175,19 @@ class BatchScheduler {
 
     /// First bucket holding max_batch_size requests, or -1.
     int FullBucket() const;
+    /// Requests across all buckets.
+    size_t Backlog() const;
   };
 
   /// Moves queued requests into the buckets (non-blocking), each model only
   /// while its bucketed backlog is below its queue capacity. Returns whether
   /// a queue was left non-empty by that bound.
   bool Drain();
+  /// Flushes, as expired, the bucket whose front request is oldest among
+  /// the non-empty buckets `eligible(model, front_enqueue_time)` admits;
+  /// nullopt when it admits none.
+  template <typename Eligible>
+  std::optional<Batch> FlushOldest(Eligible eligible);
   /// The bucket whose front request is oldest among those whose flush
   /// deadline is at or before `now`, flushed regardless of credit (the
   /// latency bound outranks fairness); nullopt when none has expired.
@@ -186,6 +197,12 @@ class BatchScheduler {
   /// keeps the cursor while its credit lasts; a model with nothing ready
   /// forfeits its credit. nullopt when no bucket is full.
   std::optional<Batch> PickFull();
+  /// The oldest bucket of a model whose bucketed backlog sits at its bound
+  /// (Drain's `backlog >= capacity`): no bucket of it can grow until a
+  /// batch leaves, so waiting out max_wait_micros would only idle the
+  /// worker. Flushed like an expired bucket (its batch takes the front
+  /// request); nullopt when no model is at its bound.
+  std::optional<Batch> PickCapped();
   /// `weight * max_batch_size`: the credit one DRR visit grants.
   static int64_t Quantum(const PerModel& m);
   /// Forms a batch of up to max_batch_size requests from model `m`'s bucket

@@ -58,9 +58,11 @@ struct BatchedEntrySpec {
   /// `0 < active`), so a host-side step loop that zeroes a slot's state
   /// rows when a request is spliced in and reads its result row when it
   /// retires reproduces the per-request entry bit for bit (the slot-map
-  /// runner in src/batch/step_runner.h is that loop). Empty when the
-  /// builder emits no step twin; the continuous serving path then rejects
-  /// the model at registration.
+  /// runner in src/batch/step_runner.h is that loop). It must also be
+  /// straight-line code whose shapes follow from its argument shapes: the
+  /// runner only ever runs it shape-specialized (src/vm/specialize.h).
+  /// Empty when the builder emits no step twin; the continuous serving
+  /// path then rejects the model at registration.
   std::string step_function;
   /// Which of step_function's returned states holds the per-request result:
   /// after a row's final step, row r of state `result_state` is the same

@@ -31,6 +31,21 @@ const char* OpcodeName(Opcode op) {
   return "<bad>";
 }
 
+std::vector<int64_t> ReshapeTarget(std::vector<int64_t> shape,
+                                   int64_t num_elements) {
+  int64_t known = 1;
+  int infer_at = -1;
+  for (size_t i = 0; i < shape.size(); ++i) {
+    if (shape[i] == -1) {
+      infer_at = static_cast<int>(i);
+    } else {
+      known *= shape[i];
+    }
+  }
+  if (infer_at >= 0) shape[infer_at] = num_elements / known;
+  return shape;
+}
+
 std::string Instruction::ToString() const {
   std::ostringstream os;
   os << OpcodeName(op);

@@ -57,6 +57,11 @@ inline runtime::Device UnpackDevice(int64_t packed) {
                          static_cast<int>(packed & 0xffff)};
 }
 
+/// The shape ReshapeTensor gives a tensor of `num_elements` elements for
+/// target `shape`: a single -1 entry is inferred from the element count.
+std::vector<int64_t> ReshapeTarget(std::vector<int64_t> shape,
+                                   int64_t num_elements);
+
 struct Instruction {
   Opcode op = Opcode::kFatal;
   RegName dst = -1;

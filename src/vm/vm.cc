@@ -6,6 +6,7 @@
 #include "src/codegen/parallel.h"
 #include "src/kernels/registry.h"
 #include "src/op/registry.h"
+#include "src/vm/specialize.h"
 
 namespace nimble {
 namespace vm {
@@ -84,12 +85,35 @@ void VirtualMachine::Reset() {
 ObjectRef VirtualMachine::Invoke(const std::string& name,
                                  std::vector<ObjectRef> args) {
   NIMBLE_CHECK(exec_ != nullptr) << "VM has no executable bound (Rebind first)";
-  int32_t index = exec_->FunctionIndex(name);
-  const VMFunction& fn = exec_->functions[index];
+  return Call(exec_->functions[exec_->FunctionIndex(name)], std::move(args));
+}
+
+ObjectRef VirtualMachine::Invoke(const SpecializedFunction& fn,
+                                 std::vector<ObjectRef> args) {
+  NIMBLE_CHECK(exec_ != nullptr) << "VM has no executable bound (Rebind first)";
+  NIMBLE_CHECK(fn.exec == exec_.get())
+      << "@" << fn.function.name
+      << " was specialized for another executable than the VM's";
+  NIMBLE_CHECK_EQ(args.size(), fn.param_shapes.size())
+      << "specialized @" << fn.function.name << " expects "
+      << fn.param_shapes.size() << " arguments";
+  for (size_t i = 0; i < args.size(); ++i) {
+    const runtime::ShapeVec& shape = AsTensor(args[i]).shape();
+    NIMBLE_CHECK(shape == fn.param_shapes[i])
+        << "argument " << i << " of specialized @" << fn.function.name
+        << " has shape " << runtime::ShapeToString(shape)
+        << ", specialized for " << runtime::ShapeToString(fn.param_shapes[i]);
+  }
+  return Call(fn.function, std::move(args));
+}
+
+ObjectRef VirtualMachine::Call(const VMFunction& fn,
+                               std::vector<ObjectRef> args) {
   NIMBLE_CHECK_EQ(static_cast<int32_t>(args.size()), fn.num_params)
-      << "function '" << name << "' expects " << fn.num_params << " arguments";
+      << "function '" << fn.name << "' expects " << fn.num_params
+      << " arguments";
   Frame frame;
-  frame.func_index = index;
+  frame.fn = &fn;
   frame.regs.resize(fn.register_file_size);
   for (size_t i = 0; i < args.size(); ++i) frame.regs[i] = std::move(args[i]);
   return Run(std::move(frame));
@@ -106,7 +130,7 @@ ObjectRef VirtualMachine::Run(Frame initial) {
   auto t_start = std::chrono::steady_clock::now();
   while (!done) {
     Frame& frame = stack.back();
-    const VMFunction& fn = exec_->functions[frame.func_index];
+    const VMFunction& fn = *frame.fn;
     NIMBLE_CHECK_LT(frame.pc, fn.instructions.size())
         << "pc ran off the end of @" << fn.name;
     const Instruction& inst = fn.instructions[frame.pc];
@@ -153,7 +177,7 @@ void VirtualMachine::RunInstruction(const Instruction& inst,
     case Opcode::kInvoke: {
       const VMFunction& callee = exec_->functions[inst.imm0];
       Frame next;
-      next.func_index = static_cast<int32_t>(inst.imm0);
+      next.fn = &callee;
       next.regs.resize(callee.register_file_size);
       NIMBLE_CHECK_EQ(static_cast<int32_t>(inst.args.size()), callee.num_params);
       for (size_t i = 0; i < inst.args.size(); ++i) {
@@ -167,7 +191,7 @@ void VirtualMachine::RunInstruction(const Instruction& inst,
       auto* closure = AsClosure(reg(inst.args[0]));
       const VMFunction& callee = exec_->functions[closure->func_index];
       Frame next;
-      next.func_index = closure->func_index;
+      next.fn = &callee;
       next.regs.resize(callee.register_file_size);
       size_t n_cap = closure->captured.size();
       NIMBLE_CHECK_EQ(n_cap + inst.args.size() - 1,
@@ -283,18 +307,9 @@ void VirtualMachine::RunInstruction(const Instruction& inst,
     }
     case Opcode::kReshapeTensor: {
       const NDArray& t = AsTensor(reg(inst.args[0]));
-      auto shape = runtime::ShapeFromTensor(AsTensor(reg(inst.args[1])));
-      // Resolve a single -1 against the element count (runtime inference).
-      int64_t known = 1;
-      int infer_at = -1;
-      for (size_t i = 0; i < shape.size(); ++i) {
-        if (shape[i] == -1) {
-          infer_at = static_cast<int>(i);
-        } else {
-          known *= shape[i];
-        }
-      }
-      if (infer_at >= 0) shape[infer_at] = t.num_elements() / known;
+      auto shape = ReshapeTarget(
+          runtime::ShapeFromTensor(AsTensor(reg(inst.args[1]))),
+          t.num_elements());
       reg(inst.dst) = runtime::MakeTensor(t.Reshape(shape));
       frame.pc++;
       break;

@@ -8,6 +8,14 @@
 // call, not per instruction (used by the Table 4 overhead study: kernel
 // latency vs "other instructions").
 //
+// Frames point at the VMFunction they run, so the same loop runs an
+// executable's own functions and shape-specialized bodies built outside it
+// (src/vm/specialize.h: ShapeOf, shape functions and dynamic allocation
+// sizes resolved once for fixed argument shapes). A specialized body is
+// ordinary bytecode over the bound executable's constants and packed
+// calls; Invoke checks that it was built for that executable and for the
+// shapes of the arguments it is given.
+//
 // Thread-safety contract (serving subsystem, src/serve/):
 //   A VirtualMachine instance is single-threaded — it owns a mutable frame
 //   stack and profile. Concurrency is achieved by running *many* VMs, one
@@ -29,6 +37,8 @@
 
 namespace nimble {
 namespace vm {
+
+struct SpecializedFunction;
 
 struct VMProfile {
   struct Entry {
@@ -60,6 +70,12 @@ class VirtualMachine {
   runtime::ObjectRef Invoke(std::vector<runtime::ObjectRef> args) {
     return Invoke("main", std::move(args));
   }
+  /// Runs a shape-specialized body (src/vm/specialize.h) through the same
+  /// dispatch loop. Throws unless the VM is bound to the executable `fn`
+  /// was built from and every argument is a tensor of the shape it was
+  /// built for. `fn` must outlive the call.
+  runtime::ObjectRef Invoke(const SpecializedFunction& fn,
+                            std::vector<runtime::ObjectRef> args);
 
   void EnableProfiling(bool on) { profiling_ = on; }
   const VMProfile& profile() const { return profile_; }
@@ -94,12 +110,15 @@ class VirtualMachine {
 
  private:
   struct Frame {
-    int32_t func_index;
+    const VMFunction* fn;
     size_t pc = 0;
     std::vector<runtime::ObjectRef> regs;
     RegName caller_dst = -1;
   };
 
+  /// Runs `fn` with `args` in a fresh frame stack.
+  runtime::ObjectRef Call(const VMFunction& fn,
+                          std::vector<runtime::ObjectRef> args);
   runtime::ObjectRef Run(Frame initial);
   void RunInstruction(const Instruction& inst, std::vector<Frame>& stack,
                       runtime::ObjectRef* final_result, bool* done);

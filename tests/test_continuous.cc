@@ -426,6 +426,54 @@ TEST(Continuous, TraceCarriesSlotAndStepSpanOfTheResidency) {
   EXPECT_EQ(views[0].journal->steps_recorded(), snap.continuous_steps);
 }
 
+TEST(Continuous, EveryStepRunsTheShapeSpecializedTwin) {
+  // The runner never runs @main_step as compiled: every step invokes the
+  // body AnalyzeContinuous specialized once for the slot count, so each
+  // journaled step's VM profile counts exactly that body's instructions
+  // (29 for a 1-layer LSTM) and spends no time in shape functions.
+  schedfuzz::ContinuousHarness harness;
+  const int64_t kSlots = 4;
+  batch::ContinuousCheck check =
+      batch::AnalyzeContinuous(*harness.exec, "main", kSlots);
+  ASSERT_TRUE(check.ok()) << check.reason;
+  const int64_t specialized =
+      static_cast<int64_t>(check.step->function.instructions.size());
+  EXPECT_EQ(specialized, 29);
+  EXPECT_LT(specialized,
+            static_cast<int64_t>(harness.exec
+                                     ->functions[harness.exec->FunctionIndex(
+                                         "main_step")]
+                                     .instructions.size()));
+
+  serve::Server server{serve::ServeConfig{}};
+  serve::ModelConfig mc;
+  mc.exec = harness.exec;
+  mc.batch.continuous = true;
+  mc.batch.continuous_slots = kSlots;
+  server.AddModel("lstm", std::move(mc));
+  server.Start();
+  support::Rng rng(31);
+  std::vector<std::future<runtime::ObjectRef>> futures;
+  for (int64_t len : {5, 1, 9, 3, 7}) {
+    NDArray x = models::RandomSequence(len, harness.input_size, rng);
+    futures.push_back(server.Submit(
+        "lstm", {MakeTensor(x), MakeTensor(NDArray::Scalar<int64_t>(len))},
+        len));
+  }
+  for (auto& f : futures) f.get();
+  server.Drain();
+
+  auto views = server.continuous_models();
+  ASSERT_EQ(views.size(), 1u);
+  std::vector<obs::StepRecord> records = views[0].journal->Tail(1024);
+  ASSERT_FALSE(records.empty());
+  for (const obs::StepRecord& record : records) {
+    EXPECT_TRUE(record.ok) << "step " << record.step;
+    EXPECT_EQ(record.vm.instructions, specialized) << "step " << record.step;
+    EXPECT_EQ(record.vm.shape_func_nanos, 0) << "step " << record.step;
+  }
+}
+
 TEST(Continuous, ShortRequestsRetireWhileLongOnesRun) {
   // Three long requests take three of four slots; six short ones queued
   // behind them must cycle through the fourth slot, each resident for
@@ -562,6 +610,32 @@ TEST(Continuous, AnalyzeContinuousRejectsVariantExecutables) {
   batch::ContinuousCheck check = batch::AnalyzeContinuous(*variant, "main", 2);
   EXPECT_FALSE(check.ok());
   EXPECT_NE(check.reason.find("variant"), std::string::npos) << check.reason;
+}
+
+TEST(Continuous, AddModelRejectsStepTwinThatWillNotSpecialize) {
+  // Pointing the step twin at @main_batched, a recursive loop over
+  // timesteps, leaves nothing to shape-specialize: registration refuses
+  // with the reason rather than serving it some other way.
+  models::LSTMConfig config;
+  config.input_size = 8;
+  config.hidden_size = 10;
+  config.emit_batched = true;
+  auto model = models::BuildLSTM(config);
+  vm::BatchedEntrySpec spec = model.batched_spec;
+  spec.step_function = spec.batched_function;
+  core::CompileOptions opts;
+  opts.batched_entries = {spec};
+  auto exec = core::Compile(model.module, opts).executable;
+  batch::ContinuousCheck check = batch::AnalyzeContinuous(*exec, "main", 2);
+  EXPECT_FALSE(check.ok());
+  EXPECT_NE(check.reason.find("shape-specialize"), std::string::npos)
+      << check.reason;
+
+  serve::Server server{serve::ServeConfig{}};
+  serve::ModelConfig mc;
+  mc.exec = exec;
+  mc.batch.continuous = true;
+  EXPECT_THROW(server.AddModel("loop_step", std::move(mc)), nimble::Error);
 }
 
 // ---- serialization ----------------------------------------------------------

@@ -480,6 +480,45 @@ TEST(Serve, SlowWorkerBacklogStaysBounded) {
   }
 }
 
+TEST(Serve, BacklogAtBoundFlushesWithoutWaitingOutMaxWait) {
+  // A queue smaller than max_batch_size: the backlog bound admits at most
+  // queue_capacity requests into the buckets, so no bucket can ever fill.
+  // A model whose backlog sits at its bound must hand out its oldest bucket
+  // at once instead of idling the worker until max_wait_micros expires.
+  // One bucket (no edges) makes every batch exactly queue_capacity
+  // requests, so no partial tail is left to wait out the timer either.
+  const int kRequests = 32;
+  const auto kMaxWait = std::chrono::seconds(10);
+  LSTMFixture fixture(kRequests);
+  serve::ServeConfig config;
+  config.num_workers = 1;
+  serve::ModelConfig model;
+  model.exec = fixture.exec;
+  model.queue_capacity = 4;
+  model.batch.max_batch_size = 8;
+  model.batch.max_wait_micros =
+      std::chrono::duration_cast<std::chrono::microseconds>(kMaxWait).count();
+  model.batch.bucket_edges = {};
+  serve::Server server(std::move(model), config);
+
+  auto start = std::chrono::steady_clock::now();
+  std::vector<std::future<runtime::ObjectRef>> futures;
+  for (size_t i = 0; i < static_cast<size_t>(kRequests); ++i) {
+    futures.push_back(server.Submit(fixture.ArgsFor(i), fixture.lengths[i]));
+  }
+  // Checked before Shutdown, whose close flushes whatever is left.
+  auto deadline = start + kMaxWait / 5;
+  for (size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_until(deadline), std::future_status::ready)
+        << "request " << i << " waited on max_wait_micros";
+    ExpectBitIdentical(AsTensor(futures[i].get()), fixture.expected[i], i);
+  }
+  server.Shutdown();
+  auto snap = server.stats();
+  EXPECT_EQ(snap.completed, kRequests);
+  EXPECT_EQ(snap.batches, kRequests / 4);
+}
+
 TEST(Serve, ResultsOutliveServerAndPool) {
   // Result buffers come from per-worker allocators; they must stay valid —
   // and safely freeable — after the server and its pool are destroyed.

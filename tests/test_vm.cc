@@ -1,6 +1,6 @@
 // VM tests: individual instructions, control flow, closures, ADTs,
-// per-executable dispatch ownership, serialization round-trips, and the
-// profiler.
+// per-executable dispatch ownership, serialization round-trips, the
+// profiler, and shape specialization of straight-line functions.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -9,9 +9,12 @@
 #include "src/codegen/dispatch.h"
 #include "src/core/compiler.h"
 #include "src/ir/module.h"
+#include "src/models/lstm.h"
+#include "src/models/workloads.h"
 #include "src/op/registry.h"
 #include "src/support/rng.h"
 #include "src/vm/compiler.h"
+#include "src/vm/specialize.h"
 #include "src/vm/vm.h"
 
 namespace nimble {
@@ -451,6 +454,244 @@ TEST(VMRegisters, KillRecyclesRegisters) {
   const auto& fn = exec->functions[exec->FunctionIndex("main")];
   EXPECT_LT(fn.register_file_size, 40)
       << "register recycling via kill should bound the frame size";
+}
+
+// ---- shape specialization (src/vm/specialize.h) --------------------------------
+
+/// An LSTM executable (input 8, hidden 10) carrying the @main_step twin.
+std::shared_ptr<vm::Executable> CompileStepTwin(int num_layers) {
+  models::LSTMConfig config;
+  config.input_size = 8;
+  config.hidden_size = 10;
+  config.num_layers = num_layers;
+  config.seed = 5;
+  config.emit_batched = true;
+  auto model = models::BuildLSTM(config);
+  core::CompileOptions opts;
+  opts.batched_entries = {model.batched_spec};
+  return core::Compile(model.module, opts).executable;
+}
+
+/// @main_step's argument shapes at `slots` rows: x_t, active, 2 states per
+/// layer.
+std::vector<runtime::ShapeVec> StepShapes(int64_t slots, int num_layers) {
+  std::vector<runtime::ShapeVec> shapes = {{slots, 8}, {slots, 1}};
+  shapes.resize(2 + 2 * static_cast<size_t>(num_layers), {slots, 10});
+  return shapes;
+}
+
+int64_t CountOps(const vm::VMFunction& fn, vm::Opcode op) {
+  int64_t n = 0;
+  for (const vm::Instruction& inst : fn.instructions) n += inst.op == op;
+  return n;
+}
+
+void ExpectSameBits(const NDArray& got, const NDArray& want) {
+  ASSERT_EQ(got.shape(), want.shape());
+  EXPECT_EQ(std::memcmp(got.raw_data(), want.raw_data(), got.nbytes()), 0);
+}
+
+TEST(Specialize, StepTwinIsBitIdenticalToGenericAtEverySlotCount) {
+  for (int layers : {1, 2}) {
+    auto exec = CompileStepTwin(layers);
+    const vm::VMFunction& generic =
+        exec->functions[exec->FunctionIndex("main_step")];
+    vm::VirtualMachine machine(exec);
+    support::Rng rng(static_cast<uint64_t>(layers));
+    for (int64_t slots = 1; slots <= 8; ++slots) {
+      std::vector<runtime::ShapeVec> shapes = StepShapes(slots, layers);
+      std::string why;
+      auto step = vm::SpecializeShapes(*exec, "main_step", shapes, &why);
+      ASSERT_TRUE(step.has_value()) << why;
+      EXPECT_LT(step->function.instructions.size(),
+                generic.instructions.size());
+      // Nothing shape-only survives: no shape computation feeds data here.
+      EXPECT_EQ(CountOps(step->function, vm::Opcode::kShapeOf), 0);
+      EXPECT_EQ(CountOps(step->function, vm::Opcode::kAllocTensorReg), 0);
+      for (const vm::Instruction& inst : step->function.instructions) {
+        if (inst.op == vm::Opcode::kAllocStorage) EXPECT_GE(inst.imm0, 0);
+        if (inst.op == vm::Opcode::kInvokePacked) {
+          EXPECT_EQ(exec->packed[inst.imm0].kind,
+                    vm::PackedEntry::Kind::kKernel);
+        }
+      }
+      // Three chained steps from random states, each with a fresh random
+      // input and active mask; the generic step's states feed the next.
+      std::vector<NDArray> states;
+      for (size_t s = 2; s < shapes.size(); ++s) {
+        states.push_back(NDArray::Empty(shapes[s], DataType::Float32()));
+        states.back().FillUniform(rng);
+      }
+      for (int t = 0; t < 3; ++t) {
+        NDArray x = models::RandomSequence(slots, 8, rng);
+        NDArray active = NDArray::Empty({slots, 1}, DataType::Int64());
+        for (int64_t r = 0; r < slots; ++r) {
+          active.data<int64_t>()[r] = rng.UniformInt(0, 1);
+        }
+        std::vector<runtime::ObjectRef> args = {MakeTensor(x),
+                                                MakeTensor(active)};
+        for (const NDArray& state : states) args.push_back(MakeTensor(state));
+        runtime::ObjectRef want = machine.Invoke("main_step", args);
+        runtime::ObjectRef got = machine.Invoke(*step, args);
+        const auto& want_states = runtime::AsADT(want)->fields;
+        const auto& got_states = runtime::AsADT(got)->fields;
+        ASSERT_EQ(got_states.size(), states.size());
+        for (size_t s = 0; s < states.size(); ++s) {
+          ExpectSameBits(AsTensor(got_states[s]), AsTensor(want_states[s]));
+          states[s] = AsTensor(want_states[s]);
+        }
+      }
+    }
+  }
+}
+
+TEST(Specialize, RefusesControlFlowAndShapesKnownOnlyAtRunTime) {
+  std::string why;
+  // @main loops over timesteps by recursion.
+  auto lstm = CompileStepTwin(1);
+  EXPECT_FALSE(vm::SpecializeShapes(*lstm, "main", {{5, 8}, {}}, &why));
+  EXPECT_NE(why.find("control flow"), std::string::npos) << why;
+  EXPECT_FALSE(vm::SpecializeShapes(*lstm, "main_step", {{2, 8}}, &why));
+  EXPECT_NE(why.find("arguments"), std::string::npos) << why;
+  EXPECT_FALSE(vm::SpecializeShapes(*lstm, "nope", {}, &why));
+
+  // arange: the output size depends on the value of n.
+  Var n = MakeVar("n", ScalarType(DataType::Int64()));
+  auto arange = CompileMain(
+      MakeFunction({n}, op::Call3("arange", IntConst(0), n, IntConst(1))));
+  EXPECT_FALSE(vm::SpecializeShapes(*arange, "main", {{}}, &why));
+  EXPECT_NE(why.find("data-dependent"), std::string::npos) << why;
+
+  // nn.nms: the shape function only bounds the survivor count.
+  Var boxes = MakeVar("b", TensorType({Dim::Any(), Dim::Static(5)}));
+  auto nms = CompileMain(MakeFunction(
+      {boxes}, op::Call1("nn.nms", boxes, Attrs().Set("iou_threshold", 0.5))));
+  EXPECT_FALSE(vm::SpecializeShapes(*nms, "main", {{3, 5}}, &why));
+  EXPECT_NE(why.find("upper-bound"), std::string::npos) << why;
+
+  // A shape function that throws for the given shapes: 2 x 4 elements do
+  // not reshape to 3 x ?.
+  Var x = MakeVar("x", TensorType({Dim::Any(), Dim::Static(4)}));
+  auto reshape = CompileMain(MakeFunction(
+      {x}, op::Call1("reshape", x,
+                     Attrs().Set("newshape", std::vector<int64_t>{3, -1}))));
+  EXPECT_FALSE(vm::SpecializeShapes(*reshape, "main", {{2, 4}}, &why));
+  EXPECT_NE(why.find("throws"), std::string::npos) << why;
+}
+
+TEST(Specialize, ShapeFunctionOutputReadAsDataKeepsItsProducer) {
+  // reshape on a dynamic input lowers to ShapeOf -> reshape's shape
+  // function -> ReshapeTensor, which reads the shape tensor as data.
+  Var x = MakeVar("x", TensorType({Dim::Any(), Dim::Static(4)}));
+  auto exec = CompileMain(MakeFunction(
+      {x}, op::Call1("reshape", x,
+                     Attrs().Set("newshape", std::vector<int64_t>{-1, 2}))));
+  std::string why;
+  auto fn = vm::SpecializeShapes(*exec, "main", {{3, 4}}, &why);
+  ASSERT_TRUE(fn.has_value()) << why;
+  ASSERT_EQ(CountOps(fn->function, vm::Opcode::kReshapeTensor), 1);
+  int64_t shape_funcs = 0;
+  for (const vm::Instruction& inst : fn->function.instructions) {
+    if (inst.op == vm::Opcode::kInvokePacked &&
+        exec->packed[inst.imm0].kind == vm::PackedEntry::Kind::kShapeFunc) {
+      shape_funcs++;
+    }
+  }
+  EXPECT_EQ(shape_funcs, 1);
+  EXPECT_EQ(CountOps(fn->function, vm::Opcode::kShapeOf), 1);
+
+  vm::VirtualMachine machine(exec);
+  support::Rng rng(8);
+  NDArray input = models::RandomSequence(3, 4, rng);
+  NDArray want = AsTensor(machine.Invoke("main", {MakeTensor(input)}));
+  NDArray got = AsTensor(machine.Invoke(*fn, {MakeTensor(input)}));
+  EXPECT_EQ(got.shape(), (runtime::ShapeVec{6, 2}));
+  ExpectSameBits(got, want);
+}
+
+TEST(Specialize, RefusesShapeFunctionWritingAnAliasedTensor) {
+  // Hand-written bytecode: reshape's shape function fills $3, but the
+  // ReshapeTensor reads it through $4, a Move made before the fill. Liveness
+  // follows registers and sees nothing read $3 after the call, so the pass
+  // must refuse rather than drop the fill.
+  using vm::Instruction;
+  using vm::Opcode;
+  const int64_t i64 = static_cast<int64_t>(runtime::DTypeCode::kInt64);
+  const int64_t cpu = vm::PackDevice(runtime::Device::CPU());
+  auto exec = std::make_shared<vm::Executable>();
+  vm::PackedEntry shape_fn;
+  shape_fn.kind = vm::PackedEntry::Kind::kShapeFunc;
+  shape_fn.name = "reshape";
+  shape_fn.attrs = Attrs().Set("newshape", std::vector<int64_t>{-1, 2});
+  shape_fn.num_inputs = 1;
+  exec->packed = {shape_fn};
+  vm::VMFunction fn;
+  fn.name = "main";
+  fn.num_params = 1;
+  fn.register_file_size = 6;
+  auto inst = [](Opcode op, vm::RegName dst, std::vector<vm::RegName> args,
+                 int64_t imm0 = 0, int64_t imm1 = 0, int64_t imm2 = 0,
+                 std::vector<int64_t> extra = {}) {
+    Instruction i;
+    i.op = op;
+    i.dst = dst;
+    i.args = std::move(args);
+    i.imm0 = imm0;
+    i.imm1 = imm1;
+    i.imm2 = imm2;
+    i.extra = std::move(extra);
+    return i;
+  };
+  fn.instructions = {
+      inst(Opcode::kShapeOf, 1, {0}),
+      inst(Opcode::kAllocStorage, 2, {}, 16, i64, cpu),
+      inst(Opcode::kAllocTensor, 3, {2}, 0, i64, 0, {2}),
+      inst(Opcode::kMove, 4, {3}),
+      inst(Opcode::kInvokePacked, -1, {1, 3}, 0, 1),
+      inst(Opcode::kReshapeTensor, 5, {0, 4}),
+      inst(Opcode::kRet, -1, {5}),
+  };
+  exec->functions = {fn};
+  exec->function_index["main"] = 0;
+
+  vm::VirtualMachine machine(exec);
+  support::Rng rng(2);
+  NDArray input = models::RandomSequence(3, 4, rng);
+  EXPECT_EQ(AsTensor(machine.Invoke("main", {MakeTensor(input)})).shape(),
+            (runtime::ShapeVec{6, 2}));
+  std::string why;
+  EXPECT_FALSE(vm::SpecializeShapes(*exec, "main", {{3, 4}}, &why));
+  EXPECT_NE(why.find("alias"), std::string::npos) << why;
+}
+
+TEST(Specialize, InvokeRejectsOtherShapesAndOtherExecutables) {
+  auto exec = CompileStepTwin(1);
+  auto step = vm::SpecializeShapes(*exec, "main_step", StepShapes(2, 1));
+  ASSERT_TRUE(step.has_value());
+  auto args_for = [](int64_t slots) {
+    std::vector<runtime::ObjectRef> args;
+    for (const runtime::ShapeVec& shape : StepShapes(slots, 1)) {
+      DataType dtype = args.size() == 1 ? DataType::Int64() : DataType::Float32();
+      NDArray arr = NDArray::Empty(shape, dtype);
+      std::memset(arr.raw_data(), 0, arr.nbytes());
+      args.push_back(MakeTensor(arr));
+    }
+    return args;
+  };
+  vm::VirtualMachine machine(exec);
+  EXPECT_NO_THROW(machine.Invoke(*step, args_for(2)));
+  EXPECT_THROW(machine.Invoke(*step, args_for(3)), Error);
+  std::vector<runtime::ObjectRef> short_args = args_for(2);
+  short_args.pop_back();
+  EXPECT_THROW(machine.Invoke(*step, short_args), Error);
+
+  // The same model compiled again is another executable: its constants and
+  // packed table are not the ones the body indexes.
+  auto other = CompileStepTwin(1);
+  machine.Rebind(other);
+  EXPECT_THROW(machine.Invoke(*step, args_for(2)), Error);
+  machine.Rebind(exec);
+  EXPECT_NO_THROW(machine.Invoke(*step, args_for(2)));
 }
 
 }  // namespace
